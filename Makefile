@@ -106,7 +106,11 @@ memprofile-campaign:
 # microbench runs the Go micro-benchmarks with allocation accounting:
 # the per-artefact experiment benchmarks plus the hot-path pairs
 # (event-log query indexed vs scan, network tick heap vs scan,
-# proximity indexed vs brute, E16 full tick).
+# proximity indexed vs brute, E16 full tick) and the per-layer tick
+# costs (planner ScoreStop at campaign and fleet size and Plan, the
+# drifting broad-phase grid cycle, sensor DetectInto, obstacle
+# monitor Apply).
 microbench:
 	$(GO) test -bench=. -benchmem .
-	$(GO) test -bench=. -benchmem ./internal/runner ./internal/comm ./internal/sim
+	$(GO) test -bench=. -benchmem ./internal/runner ./internal/comm ./internal/sim \
+		./internal/traj ./internal/geom ./internal/sensor ./internal/agent

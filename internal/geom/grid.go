@@ -19,6 +19,12 @@ import (
 type Grid struct {
 	cell  float64
 	cells map[gridKey][]int
+	// occupied lists the cells holding sites this cycle, in first-insert
+	// order, so Reset and the pair passes cost O(occupied cells) however
+	// many cells earlier cycles touched. spare keeps the buckets of the
+	// cells Reset dropped, for reuse by the next cycle's cells.
+	occupied []gridKey
+	spare    [][]int
 
 	// workerBufs are the per-worker pair buffers of
 	// CandidatePairsParallel, kept so a per-tick caller amortises the
@@ -50,8 +56,16 @@ func ShardOf(p Vec2, cellSize float64, shards int) int {
 	if cellSize <= 0 {
 		cellSize = math.SmallestNonzeroFloat64
 	}
-	k := gridKey{int(math.Floor(p.X / cellSize)), int(math.Floor(p.Y / cellSize))}
-	return int(cellHash(k) % uint32(shards))
+	x, y := CellOf(p, cellSize)
+	return int(cellHash(gridKey{x, y}) % uint32(shards))
+}
+
+// CellOf returns the key of the cell of the given size holding p,
+// floor(coordinate/size) on each axis. Grid and ShardOf key cells with
+// it, so a caller that must agree with a Grid's cell adjacency uses it
+// too.
+func CellOf(p Vec2, size float64) (x, y int) {
+	return int(math.Floor(p.X / size)), int(math.Floor(p.Y / size))
 }
 
 // NewGrid returns an empty grid with the given cell size. The cell
@@ -64,16 +78,21 @@ func NewGrid(cellSize float64) *Grid {
 }
 
 // Reset empties the grid and sets a new cell size, keeping the bucket
-// allocations for reuse. A non-positive cell size is clamped to a
-// minimal positive one so Insert never degenerates.
+// allocations for reuse. It visits only the cells occupied since the
+// last Reset, and drops them from the index, so a site cloud drifting
+// across the plane does not leave a trail of empty cells behind. A
+// non-positive cell size is clamped to a minimal positive one so
+// Insert never degenerates.
 func (g *Grid) Reset(cellSize float64) {
 	if cellSize <= 0 {
 		cellSize = math.SmallestNonzeroFloat64
 	}
 	g.cell = cellSize
-	for k, bucket := range g.cells {
-		g.cells[k] = bucket[:0]
+	for _, k := range g.occupied {
+		g.spare = append(g.spare, g.cells[k][:0])
+		delete(g.cells, k)
 	}
+	g.occupied = g.occupied[:0]
 }
 
 // CellSize returns the current cell size.
@@ -82,8 +101,16 @@ func (g *Grid) CellSize() float64 { return g.cell }
 // Insert adds a site with the given handle at p. Handles are opaque
 // to the grid; inserting the same handle twice indexes it twice.
 func (g *Grid) Insert(handle int, p Vec2) {
-	k := gridKey{int(math.Floor(p.X / g.cell)), int(math.Floor(p.Y / g.cell))}
-	g.cells[k] = append(g.cells[k], handle)
+	x, y := CellOf(p, g.cell)
+	k := gridKey{x, y}
+	bucket, ok := g.cells[k]
+	if !ok {
+		g.occupied = append(g.occupied, k)
+		if n := len(g.spare); n > 0 {
+			bucket, g.spare = g.spare[n-1], g.spare[:n-1]
+		}
+	}
+	g.cells[k] = append(bucket, handle)
 }
 
 // CandidatePairs appends to buf every candidate pair (a, b) with
@@ -93,11 +120,8 @@ func (g *Grid) Insert(handle int, p Vec2) {
 // apart than 2*sqrt(2)*CellSize never do.
 func (g *Grid) CandidatePairs(buf [][2]int) [][2]int {
 	start := len(buf)
-	for k, bucket := range g.cells {
-		if len(bucket) == 0 {
-			continue
-		}
-		buf = g.appendCellPairs(buf, k, bucket)
+	for _, k := range g.occupied {
+		buf = g.appendCellPairs(buf, k, g.cells[k])
 	}
 	sortPairs(buf[start:])
 	return buf
@@ -113,7 +137,7 @@ func (g *Grid) CandidatePairs(buf [][2]int) [][2]int {
 // byte-identical to CandidatePairs — the broad-phase arm of the shard
 // determinism guarantee.
 func (g *Grid) CandidatePairsParallel(buf [][2]int, workers int) [][2]int {
-	if workers <= 1 || len(g.cells) < 2*workers {
+	if workers <= 1 || len(g.occupied) < 2*workers {
 		return g.CandidatePairs(buf)
 	}
 	for len(g.workerBufs) < workers {
@@ -125,11 +149,10 @@ func (g *Grid) CandidatePairsParallel(buf [][2]int, workers int) [][2]int {
 		go func(w int) {
 			defer wg.Done()
 			out := g.workerBufs[w][:0]
-			for k, bucket := range g.cells {
-				if len(bucket) == 0 || int(cellHash(k)%uint32(workers)) != w {
-					continue
+			for _, k := range g.occupied {
+				if int(cellHash(k)%uint32(workers)) == w {
+					out = g.appendCellPairs(out, k, g.cells[k])
 				}
-				out = g.appendCellPairs(out, k, bucket)
 			}
 			g.workerBufs[w] = out
 		}(w)

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -103,5 +104,84 @@ func TestGridNegativeCoordinates(t *testing.T) {
 	got := pairSet(g.CandidatePairs(nil))
 	if !got[[2]int{0, 1}] || !got[[2]int{0, 2}] {
 		t.Errorf("adjacent cells across the origin missed: %v", got)
+	}
+}
+
+// driftCycle fills g with a 40×40 cloud of n sites whose centre moves
+// 9 units (almost two cells of 5) along the diagonal per cycle, so every
+// few cycles the cloud covers cells no earlier cycle touched.
+func driftCycle(g *Grid, offsets []Vec2, cycle int) {
+	c := float64(cycle) * 9
+	g.Reset(5)
+	for i, o := range offsets {
+		g.Insert(i, V(c-2000+o.X, 0.5*c-1000+o.Y))
+	}
+}
+
+func driftOffsets(n int) []Vec2 {
+	rng := rand.New(rand.NewSource(11))
+	out := make([]Vec2, n)
+	for i := range out {
+		out[i] = V(rng.Float64()*40-20, rng.Float64()*40-20)
+	}
+	return out
+}
+
+// A reused grid must answer exactly like a freshly built one while its
+// site cloud drifts across thousands of distinct cells, and must not
+// keep the cells it left behind: the index holds the occupied cells
+// only, so Reset and the pair passes stay O(occupied cells).
+func TestGridReuseWhileDrifting(t *testing.T) {
+	offsets := driftOffsets(150)
+	g := NewGrid(5)
+	var seq, par [][2]int
+	visited := map[gridKey]bool{}
+	for cycle := 0; cycle < 600; cycle++ {
+		driftCycle(g, offsets, cycle)
+		fresh := NewGrid(5)
+		driftCycle(fresh, offsets, cycle)
+		want := fresh.CandidatePairs(nil)
+		seq = g.CandidatePairs(seq[:0])
+		par = g.CandidatePairsParallel(par[:0], 3)
+		if !slices.Equal(seq, want) || !slices.Equal(par, want) {
+			t.Fatalf("cycle %d: reused grid gave %d/%d pairs, fresh grid %d",
+				cycle, len(seq), len(par), len(want))
+		}
+		if len(g.cells) != len(g.occupied) || len(g.occupied) != len(fresh.occupied) {
+			t.Fatalf("cycle %d: index holds %d cells, %d occupied (fresh %d)",
+				cycle, len(g.cells), len(g.occupied), len(fresh.occupied))
+		}
+		for _, k := range g.occupied {
+			visited[k] = true
+		}
+	}
+	if len(visited) < 2000 {
+		t.Fatalf("cloud visited only %d distinct cells", len(visited))
+	}
+
+	// Steady state: a Reset, Insert, CandidatePairs cycle on fresh
+	// cells allocates nothing once the buffers have grown.
+	cycle := 600
+	allocs := testing.AllocsPerRun(200, func() {
+		driftCycle(g, offsets, cycle)
+		seq = g.CandidatePairs(seq[:0])
+		cycle++
+	})
+	if allocs != 0 {
+		t.Errorf("steady drifting cycle allocates %.0f times, want 0", allocs)
+	}
+}
+
+// BenchmarkGridCycleDrifting times one Reset, Insert, CandidatePairs
+// cycle of a 150-site cloud that moves onto new cells every cycle.
+func BenchmarkGridCycleDrifting(b *testing.B) {
+	offsets := driftOffsets(150)
+	g := NewGrid(5)
+	var buf [][2]int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		driftCycle(g, offsets, i)
+		buf = g.CandidatePairs(buf[:0])
 	}
 }

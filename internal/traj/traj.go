@@ -2,7 +2,7 @@
 // candidate trajectories toward a target zone (lateral offset ×
 // terminal speed × deceleration profile over the route), scores each
 // with a transition-risk function — proximity to other constituents'
-// predicted paths (broad-phased through geom.Grid), residual risk of
+// predicted paths (a time-aligned bipartite scan), residual risk of
 // the stopped position, and decel/offset comfort terms — and selects
 // the cheapest candidate under a risk ceiling. For concerted MRMs
 // (core Definition 3) SelectJoint picks one candidate per constituent
@@ -177,38 +177,33 @@ type Candidate struct {
 // owned by exactly one constituent and must not be shared across
 // goroutines.
 type Planner struct {
-	cfg  Config
-	rng  *sim.RNG
-	grid *geom.Grid
+	cfg Config
+	rng *sim.RNG
 
-	// scratch buffers reused across planning events
-	pairBuf [][2]int
-	sitePos []geom.Vec2
+	// scratch reused across planning events: every candidate sample
+	// and one obstacle's rollout, with their cell keys
+	samples, track []site
+}
+
+// site is a predicted position and its SafeDist cell key.
+type site struct {
+	pos  geom.Vec2
+	x, y int
 }
 
 // New returns a planner with the given stream seed and knobs.
 func New(seed int64, cfg Config) *Planner {
-	cfg = cfg.withDefaults()
-	return &Planner{
-		cfg:  cfg,
-		rng:  sim.NewRNG(seed),
-		grid: geom.NewGrid(cfg.SafeDist),
-	}
+	return &Planner{cfg: cfg.withDefaults(), rng: sim.NewRNG(seed)}
 }
 
 // Reinit restores the planner, in place, to the state New(seed, cfg)
-// would produce, keeping the grid and scratch allocations: the RNG
-// reseeds to exactly the fresh stream, the grid re-sizes to the new
-// SafeDist (score() already resets it per planning event), and the
-// scratch buffers truncate. The warm-rig path for per-constituent
-// planner reuse across campaign seeds.
+// would produce, keeping the scratch allocations (score overwrites
+// them before reading): the RNG reseeds to exactly the fresh stream.
+// The warm-rig path for per-constituent planner reuse across campaign
+// seeds.
 func (p *Planner) Reinit(seed int64, cfg Config) {
 	p.cfg = cfg.withDefaults()
 	p.rng.Reseed(seed)
-	p.grid.Reset(p.cfg.SafeDist)
-	clear(p.pairBuf)
-	p.pairBuf = p.pairBuf[:0]
-	p.sitePos = p.sitePos[:0]
 }
 
 // Config returns the planner's effective configuration.
@@ -451,52 +446,50 @@ func offsetPath(route *geom.Path, offset float64, zone world.Zone) *geom.Path {
 }
 
 // score fills the risk fields of every candidate in one pass. The
-// proximity term broad-phases all candidate and predicted-obstacle
-// samples through one geom.Grid (cell = SafeDist): a pair of sites
-// within SafeDist is guaranteed to be enumerated, and only pairs of
-// (candidate sample, obstacle sample) within one time bin of each
-// other contribute — the two trains co-exist in time, alternative
-// candidates do not.
+// proximity term scans each candidate sample at bin t against each
+// obstacle's constant-velocity rollout at bins t-1..t+1; a pair counts
+// only when the SafeDist cells (geom.CellOf) of its points are equal or
+// adjacent — the pairs a geom.Grid of that cell size would enumerate,
+// so any pair within SafeDist is seen. The term is a max, so order does
+// not matter. Cell keys along a track are monotone in t, so an obstacle
+// whose end-point cells miss the candidates' cell box grown by one is
+// culled whole.
 func (p *Planner) score(cands []Candidate, req Request) {
-	nBins := int(p.cfg.Horizon/p.cfg.SampleDT) + 1
-	nObs := len(req.Obstacles)
-	obsEnd := nObs * nBins
-	if nObs > 0 {
-		// Broad-phase sites: obstacles first, then candidate samples.
-		p.grid.Reset(p.cfg.SafeDist)
-		p.sitePos = p.sitePos[:0]
-		for oi, ob := range req.Obstacles {
-			for t := 0; t < nBins; t++ {
-				pos := ob.Pos.Add(ob.Vel.Scale(float64(t) * p.cfg.SampleDT))
-				p.grid.Insert(oi*nBins+t, pos)
-				p.sitePos = append(p.sitePos, pos)
-			}
+	cell, dt := p.cfg.SafeDist, p.cfg.SampleDT
+	nBins := int(p.cfg.Horizon/dt) + 1
+	p.samples = p.samples[:0]
+	lo, hi := site{x: math.MaxInt, y: math.MaxInt}, site{x: math.MinInt, y: math.MinInt}
+	for ci := range cands {
+		for _, pos := range cands[ci].Samples {
+			s := siteAt(pos, cell)
+			lo.x, lo.y, hi.x, hi.y = min(lo.x, s.x), min(lo.y, s.y), max(hi.x, s.x), max(hi.y, s.y)
+			p.samples = append(p.samples, s)
 		}
+	}
+	for _, ob := range req.Obstacles {
+		p.track = p.track[:0]
+		for t := 0; t < nBins; t++ {
+			p.track = append(p.track, siteAt(ob.Pos.Add(ob.Vel.Scale(float64(t)*dt)), cell))
+		}
+		if a, b := p.track[0], p.track[nBins-1]; max(a.x, b.x)+1 < lo.x || min(a.x, b.x) > hi.x+1 ||
+			max(a.y, b.y)+1 < lo.y || min(a.y, b.y) > hi.y+1 {
+			continue
+		}
+		samples := p.samples
 		for ci := range cands {
-			for t, pos := range cands[ci].Samples {
-				p.grid.Insert(obsEnd+ci*nBins+t, pos)
+			c := &cands[ci]
+			for t, s := range samples[:len(c.Samples)] {
+				for _, o := range p.track[max(t-1, 0):min(t+2, nBins)] {
+					if o.x-s.x > 1 || s.x-o.x > 1 || o.y-s.y > 1 || s.y-o.y > 1 {
+						continue
+					}
+					gap := o.pos.Dist(s.pos) - ob.Radius - c.Radius
+					if closeness := geom.Clamp((cell-gap)/cell, 0, 1); closeness > c.Proximity {
+						c.Proximity = closeness
+					}
+				}
 			}
-		}
-		p.pairBuf = p.grid.CandidatePairs(p.pairBuf[:0])
-		for _, pr := range p.pairBuf {
-			a, b := pr[0], pr[1]
-			if (a < obsEnd) == (b < obsEnd) {
-				continue // obstacle-obstacle or candidate-candidate
-			}
-			// a < b and obstacles precede candidates, so a is the
-			// obstacle site and b the candidate site.
-			binA := a % nBins
-			ci := (b - obsEnd) / nBins
-			binB := (b - obsEnd) % nBins
-			if binA-binB > 1 || binB-binA > 1 {
-				continue
-			}
-			gap := p.sitePos[a].Dist(cands[ci].Samples[binB]) -
-				req.Obstacles[a/nBins].Radius - cands[ci].Radius
-			closeness := geom.Clamp((p.cfg.SafeDist-gap)/p.cfg.SafeDist, 0, 1)
-			if closeness > cands[ci].Proximity {
-				cands[ci].Proximity = closeness
-			}
+			samples = samples[len(c.Samples):]
 		}
 	}
 
@@ -508,6 +501,12 @@ func (p *Planner) score(cands []Candidate, req Request) {
 			p.cfg.WProximity*c.Proximity+p.cfg.WZone*c.ZoneRisk+p.cfg.WComfort*c.Comfort,
 			0, 1)
 	}
+}
+
+// siteAt keys pos to its broad-phase cell.
+func siteAt(pos geom.Vec2, cell float64) site {
+	x, y := geom.CellOf(pos, cell)
+	return site{pos, x, y}
 }
 
 // stopRisk scores the residual risk of the trajectory's terminal
