@@ -105,10 +105,11 @@ memprofile-campaign:
 
 # microbench runs the Go micro-benchmarks with allocation accounting:
 # the per-artefact experiment benchmarks plus the hot-path pairs
-# (event-log query indexed vs scan, network tick heap vs scan,
-# proximity indexed vs brute, E16 full tick) and the per-layer tick
-# costs (planner ScoreStop at campaign and fleet size and Plan, the
-# drifting broad-phase grid cycle, sensor DetectInto, obstacle
+# (event-log query indexed vs scan, network tick parcel heap vs the
+# per-envelope reference model, proximity indexed vs brute, E16 full
+# tick) and the per-layer tick costs (planner ScoreStop at campaign
+# and fleet size and Plan, the drifting broad-phase grid cycle, a
+# 400-endpoint network beacon round, sensor DetectInto, obstacle
 # monitor Apply).
 microbench:
 	$(GO) test -bench=. -benchmem .

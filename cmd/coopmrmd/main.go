@@ -52,6 +52,28 @@ func main() {
 	}
 }
 
+// Connection timeouts of the served API. A client gets
+// readHeaderTimeout to send its request headers and an idle keep-alive
+// connection is closed after idleTimeout, so slow or abandoned clients
+// cannot pin connections forever. There is deliberately no read or
+// write timeout on the whole request: artifact downloads stream tars
+// of unbounded size.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the API's HTTP server with its connection
+// timeouts set.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("coopmrmd", flag.ContinueOnError)
 	listen := fs.String("listen", "127.0.0.1:8355", "address to serve the HTTP API on")
@@ -88,7 +110,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*listen, srv.Handler())
 
 	errc := make(chan error, 1)
 	go func() {

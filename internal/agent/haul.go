@@ -30,9 +30,10 @@ type Config struct {
 	UnitsPerDeposit float64
 	// Speed is the cruise speed for task legs.
 	Speed float64
-	// Neighbors returns the detectable positions of the other
-	// constituents, used for the operational obstacle hold. Nil
-	// disables holding.
+	// Neighbors returns the detectable positions of the constituents
+	// around C, used for the operational obstacle hold; an entry for C
+	// itself is skipped (see ObstacleMonitor.Neighbors). Nil disables
+	// holding.
 	Neighbors func() []sensor.Target
 	// OnDeliver is called with the credited units per delivery.
 	OnDeliver func(units float64)
@@ -176,6 +177,10 @@ func (a *HaulAgent) AvoidedEdge(x, y string) bool {
 
 // Avoided returns whether the agent privately avoids the node.
 func (a *HaulAgent) Avoided(node string) bool { return a.avoid[node] }
+
+// Monitor returns the agent's obstacle monitor (nil without a
+// Neighbors feed).
+func (a *HaulAgent) Monitor() *ObstacleMonitor { return a.monitor }
 
 // Replan drops the current leg plan so the next step replans with the
 // updated avoid set.

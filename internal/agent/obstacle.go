@@ -17,7 +17,10 @@ import (
 // manoeuvre is abstracted away by the 1-D road model); obstacles
 // inside tunnel zones block indefinitely.
 type ObstacleMonitor struct {
-	C         *core.Constituent
+	C *core.Constituent
+	// Neighbors returns the detectable constituents around C. An entry
+	// carrying C's own ID is skipped, so a rig can hand every monitor
+	// one shared fleet-wide list.
 	Neighbors func() []sensor.Target
 	// World enables the tunnel distinction; nil makes every hold hard.
 	World             *world.World
@@ -64,8 +67,12 @@ func (m *ObstacleMonitor) Apply(env *sim.Env) {
 	holdDist := c.Body().StoppingDistance() + m.HoldMargin
 	blocked := false
 	inTunnel := false
+	self := c.ID()
 	m.detBuf = c.Suite().DetectInto(m.detBuf[:0], pos, m.Neighbors())
 	for _, d := range m.detBuf {
+		if d.ID == self {
+			continue
+		}
 		delta := d.Pos.Sub(pos)
 		fd := delta.Dot(forward)
 		lat := delta.Cross(forward)

@@ -1,9 +1,9 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -152,40 +152,39 @@ func (b Breakdown) Total() int64 {
 // Deliver moves due messages into inboxes each tick, re-checking node
 // and link state at arrival time.
 //
-// The in-transit set is a binary min-heap keyed on
-// (deliverAt, Seq, recipient) — the exact deterministic delivery
-// order — so Deliver pops only the due envelopes instead of scanning,
-// partitioning, and re-sorting the whole set every tick (the
-// pre-change behaviour, retained behind UseScanDeliver as the oracle
-// arm of the differential tests). Inboxes are double-buffered and the
-// broadcast fan-out list is scratch storage, so a steady-state
-// send/deliver/receive tick allocates nothing.
+// The in-transit set is a binary min-heap of parcels. A parcel is one
+// Send's message, stored once, plus the recipients whose copies arrive
+// at the same instant. The heap is keyed on (deliverAt, Seq), which is
+// unique per parcel (one Send, one Seq), so every inbox receives its
+// messages in exactly the (deliverAt, Seq) order of a queue of
+// per-recipient envelopes; the order among the distinct recipients of
+// one parcel is not observable, so they stay in draw order. A
+// jitter-free broadcast to the whole fleet thus costs one heap
+// operation instead of one per recipient. The per-envelope scan+sort
+// delivery survives as the reference model of the differential tests
+// (network_ref_test.go). Parcels recycle through a free list and
+// inboxes are double-buffered, so a steady-state send/deliver/receive
+// tick allocates nothing.
 type Network struct {
 	cfg      NetConfig
 	rng      *sim.RNG
 	seq      int64
 	now      time.Duration
 	nowFn    func() time.Duration
-	transit  envHeap
-	inbox    map[string]*inboxBuf
-	order    []string
+	transit  parcelHeap
+	pending  int       // recipient copies across the transit parcels
+	free     []*parcel // recycled parcels
 	downNode map[string]bool
 	downLink map[[2]string]bool
 
-	// recipBuf is the scratch fan-out list reused across Send calls
-	// (both unicast and broadcast), so Send allocates nothing once the
-	// buffer has grown to the fleet size.
-	recipBuf []string
-	// dueBuf/laterBuf are scratch for the UseScanDeliver oracle path.
-	dueBuf, laterBuf []envelope
-
-	// UseScanDeliver disables the min-heap pop loop and delivers by
-	// scanning, partitioning, and sorting the full in-transit set —
-	// byte for byte the pre-heap Deliver. It is the oracle arm of the
-	// differential tests and the baseline of the delivery benchmarks
-	// (mirroring metrics.Collector.UseBruteForce). Toggling it at any
-	// point is safe: both paths keep the heap invariant intact.
-	UseScanDeliver bool
+	// eps holds the endpoints in registration order (the broadcast
+	// fan-out and RNG draw order) and index maps an ID to its slot.
+	// Parcels name recipients by slot, so a broadcast reaches every
+	// inbox without a per-recipient ID lookup.
+	eps   []endpoint
+	index map[string]int32
+	// arrBuf is Send scratch: the accepted arrivals of one Send.
+	arrBuf []arrival
 
 	sent      int64
 	dropped   int64
@@ -202,46 +201,55 @@ type Network struct {
 	boundaryOrder func(from string) int
 	boundaryMu    sync.Mutex
 	boundaryBuf   []Message
-
-	// freeBufs parks the endpoint inbox buffers between warm-rig runs:
-	// Reset moves every registered inbox here and Register adopts one
-	// back, so re-wiring the same fleet after a Reset allocates no new
-	// inbox storage.
-	freeBufs []*inboxBuf
 }
 
-type envelope struct {
-	msg       Message
-	to        string
-	deliverAt time.Duration
+// endpoint is one registered radio. Its inbox is double-buffered:
+// Deliver appends into cur, Receive hands cur to the caller and swaps
+// in the drained prev buffer. The slice returned by Receive therefore
+// stays intact until the *second* following Receive of the same
+// endpoint — one full tick of safety margin — while steady-state
+// delivery reuses the two backing arrays and allocates nothing.
+type endpoint struct {
+	id        string
+	cur, prev []Message
 }
 
-// envLess is the deterministic delivery order: deliverAt, then Seq,
-// then recipient. Envelopes comparing equal are necessarily identical
-// payloads (same Seq means same Send call — an original and its chaos
-// duplicate), so any tie-break among them delivers the same bytes.
-func envLess(a, b envelope) bool {
-	if a.deliverAt != b.deliverAt {
-		return a.deliverAt < b.deliverAt
+// parcel is one heap entry: a message and the endpoints (slots into
+// Network.eps) it reaches at instant at. A chaos duplicate landing on
+// the same instant as its original lists its recipient twice.
+type parcel struct {
+	msg Message
+	at  time.Duration
+	to  []int32
+}
+
+// arrival is one accepted delivery of the Send in progress: its
+// instant and the recipient's slot.
+type arrival struct {
+	at time.Duration
+	ep int32
+}
+
+// parcelHeap is a slice-backed binary min-heap ordered by
+// (at, msg.Seq). It is hand-rolled rather than container/heap so push
+// and pop stay free of interface boxing — the delivery tick is a hot
+// path.
+type parcelHeap []*parcel
+
+func parcelLess(a, b *parcel) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if a.msg.Seq != b.msg.Seq {
-		return a.msg.Seq < b.msg.Seq
-	}
-	return a.to < b.to
+	return a.msg.Seq < b.msg.Seq
 }
 
-// envHeap is a slice-backed binary min-heap ordered by envLess. It is
-// hand-rolled rather than container/heap so push and pop stay free of
-// interface boxing — the delivery tick is a hot path.
-type envHeap []envelope
-
-func (h *envHeap) push(e envelope) {
-	*h = append(*h, e)
+func (h *parcelHeap) push(p *parcel) {
+	*h = append(*h, p)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !envLess(s[i], s[parent]) {
+		if !parcelLess(s[i], s[parent]) {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -249,54 +257,31 @@ func (h *envHeap) push(e envelope) {
 	}
 }
 
-// popMin removes and returns the minimum envelope. The heap must be
+// popMin removes and returns the minimum parcel. The heap must be
 // non-empty.
-func (h *envHeap) popMin() envelope {
+func (h *parcelHeap) popMin() *parcel {
 	s := *h
 	min := s[0]
 	last := len(s) - 1
 	s[0] = s[last]
-	s[last] = envelope{} // release the Message maps to the GC
-	*h = s[:last]
-	h.siftDown(0)
-	return min
-}
-
-func (h *envHeap) siftDown(i int) {
-	s := *h
-	n := len(s)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+	s[last] = nil
+	s = s[:last]
+	*h = s
+	for i := 0; ; {
+		smallest := 2*i + 1
+		if smallest >= last {
+			break
 		}
-		smallest := left
-		if right := left + 1; right < n && envLess(s[right], s[left]) {
+		if right := smallest + 1; right < last && parcelLess(s[right], s[smallest]) {
 			smallest = right
 		}
-		if !envLess(s[smallest], s[i]) {
-			return
+		if !parcelLess(s[smallest], s[i]) {
+			break
 		}
 		s[i], s[smallest] = s[smallest], s[i]
 		i = smallest
 	}
-}
-
-// init re-establishes the heap invariant over arbitrary contents.
-func (h *envHeap) init() {
-	for i := len(*h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-// inboxBuf is one endpoint's double-buffered inbox: Deliver appends
-// into cur, Receive hands cur to the caller and swaps in the drained
-// prev buffer. The slice returned by Receive therefore stays intact
-// until the *second* following Receive of the same endpoint — one
-// full tick of safety margin — while steady-state delivery reuses the
-// two backing arrays and allocates nothing.
-type inboxBuf struct {
-	cur, prev []Message
+	return min
 }
 
 // NewNetwork returns a network using the given RNG for jitter, loss,
@@ -313,7 +298,7 @@ func NewNetwork(cfg NetConfig, rng *sim.RNG) *Network {
 	return &Network{
 		cfg:      cfg,
 		rng:      rng,
-		inbox:    make(map[string]*inboxBuf),
+		index:    make(map[string]int32),
 		downNode: make(map[string]bool),
 		downLink: make(map[[2]string]bool),
 	}
@@ -321,41 +306,36 @@ func NewNetwork(cfg NetConfig, rng *sim.RNG) *Network {
 
 // Reset returns the network to its just-constructed state for a new
 // run under the given seed, retaining every backing allocation: the
-// transit heap array, the per-endpoint inbox buffers (parked on
-// freeBufs and re-adopted as the rig re-registers its fleet), and the
-// scratch lists. All registrations are dropped — registration order
-// drives broadcast fan-out order, so the rig must re-register
-// endpoints in exactly its construction order for a reset network to
-// be observationally identical to a fresh one (the warm-rig
-// differential tests prove it byte for byte). The RNG reseeds in
-// place to exactly the stream NewNetwork would have been handed.
+// transit heap array and its parcels (parked on the free list), the
+// per-endpoint inbox buffers (re-adopted slot by slot as the rig
+// re-registers its fleet), and the scratch lists. All registrations
+// are dropped — registration order drives broadcast fan-out order, so
+// the rig must re-register endpoints in exactly its construction order
+// for a reset network to be observationally identical to a fresh one
+// (the warm-rig differential tests prove it byte for byte). The RNG
+// reseeds in place to exactly the stream NewNetwork would have been
+// handed.
 func (n *Network) Reset(seed int64) {
 	n.rng.Reseed(seed)
 	n.seq = 0
 	n.now = 0
 	n.nowFn = nil
-	clear(n.transit) // release Message payloads
-	n.transit = n.transit[:0]
-	for _, id := range n.order {
-		box := n.inbox[id]
-		clear(box.cur)
-		box.cur = box.cur[:0]
-		clear(box.prev)
-		box.prev = box.prev[:0]
-		n.freeBufs = append(n.freeBufs, box)
+	for _, p := range n.transit {
+		n.recycle(p)
 	}
-	clear(n.inbox)
-	clear(n.order)
-	n.order = n.order[:0]
+	clear(n.transit)
+	n.transit = n.transit[:0]
+	n.pending = 0
+	for i := range n.eps {
+		ep := &n.eps[i]
+		clear(ep.cur)
+		clear(ep.prev)
+		*ep = endpoint{cur: ep.cur[:0], prev: ep.prev[:0]}
+	}
+	n.eps = n.eps[:0]
+	clear(n.index)
 	clear(n.downNode)
 	clear(n.downLink)
-	clear(n.recipBuf)
-	n.recipBuf = n.recipBuf[:0]
-	clear(n.dueBuf)
-	n.dueBuf = n.dueBuf[:0]
-	clear(n.laterBuf)
-	n.laterBuf = n.laterBuf[:0]
-	n.UseScanDeliver = false
 	n.sent = 0
 	n.dropped = 0
 	n.droppedBy = [numDropCauses]int64{}
@@ -371,17 +351,17 @@ func (n *Network) Register(id string) error {
 	if id == "" || id == Broadcast {
 		return fmt.Errorf("comm: invalid endpoint ID %q", id)
 	}
-	if _, dup := n.inbox[id]; dup {
+	if _, dup := n.index[id]; dup {
 		return fmt.Errorf("comm: duplicate endpoint %q", id)
 	}
-	box := &inboxBuf{}
-	if k := len(n.freeBufs); k > 0 {
-		box = n.freeBufs[k-1]
-		n.freeBufs[k-1] = nil
-		n.freeBufs = n.freeBufs[:k-1]
+	slot := int32(len(n.eps))
+	if len(n.eps) < cap(n.eps) {
+		n.eps = n.eps[:slot+1] // adopt the parked inbox buffers
+	} else {
+		n.eps = append(n.eps, endpoint{})
 	}
-	n.inbox[id] = box
-	n.order = append(n.order, id)
+	n.eps[slot].id = id
+	n.index[id] = slot
 	return nil
 }
 
@@ -394,8 +374,10 @@ func (n *Network) MustRegister(id string) {
 
 // Endpoints returns registered IDs in registration order.
 func (n *Network) Endpoints() []string {
-	out := make([]string, len(n.order))
-	copy(out, n.order)
+	out := make([]string, len(n.eps))
+	for i := range n.eps {
+		out[i] = n.eps[i].id
+	}
 	return out
 }
 
@@ -431,9 +413,14 @@ func (n *Network) drop(cause DropCause) {
 	n.droppedBy[cause]++
 }
 
-// partitioned reports whether a scheduled Partition window severs the
-// attempt from -> to at time t.
-func (n *Network) partitioned(from, to string, t time.Duration) bool {
+// linkDown reports whether the pair from -> to is severed at time t:
+// by SetLinkDown or by a scheduled Partition window. The map lookup is
+// skipped while no link is down — an array-keyed lookup on an empty
+// map is not free, and this runs once per recipient copy.
+func (n *Network) linkDown(from, to string, t time.Duration) bool {
+	if len(n.downLink) > 0 && n.downLink[[2]string{from, to}] {
+		return true
+	}
 	for _, w := range n.cfg.Partitions {
 		if w.blocks(from, to, t) {
 			return true
@@ -466,38 +453,102 @@ func (n *Network) Send(m Message) int64 {
 	n.seq++
 	m.Seq = n.seq
 	m.SentAt = now
-	recipients := n.recipients(m)
-	n.sent += int64(len(recipients))
-	for _, to := range recipients {
-		if to == m.From {
+	arr := n.arrBuf[:0]
+	if m.To == Broadcast {
+		self, ok := n.index[m.From]
+		if !ok {
+			self = -1
+		}
+		for i := range n.eps {
+			if int32(i) != self {
+				n.sent++
+				arr = n.attempt(arr, m, int32(i), now)
+			}
+		}
+	} else {
+		n.sent++
+		i, registered := n.index[m.To]
+		switch {
+		case m.To == m.From:
 			n.drop(DropSelf)
-			continue
-		}
-		if _, registered := n.inbox[to]; !registered {
+		case !registered:
 			n.drop(DropUnregistered)
-			continue
+		default:
+			arr = n.attempt(arr, m, i, now)
 		}
-		if n.downNode[m.From] || n.downNode[to] {
-			n.drop(DropNodeDown)
-			continue
-		}
-		if n.downLink[[2]string{m.From, to}] || n.partitioned(m.From, to, now) {
-			n.drop(DropLinkDown)
-			continue
-		}
-		if n.cfg.LossProb > 0 && n.rng.Bool(n.cfg.LossProb) {
-			n.drop(DropLoss)
-			continue
-		}
-		n.transit.push(envelope{msg: m, to: to, deliverAt: now + n.delay()})
+	}
+	n.arrBuf = arr
+	n.enqueue(m, arr)
+	return m.Seq
+}
+
+// attempt makes the send-time checks and channel draws of one delivery
+// to the registered endpoint in slot i and appends its accepted
+// arrivals: the copy itself and any chaos duplicate. The draw order —
+// loss, delay, duplicate, duplicate delay, recipient by recipient in
+// registration order — is part of the determinism contract: a seed's
+// runs replay only if every Send consumes the RNG stream the same way.
+func (n *Network) attempt(arr []arrival, m Message, i int32, now time.Duration) []arrival {
+	to := n.eps[i].id
+	switch {
+	case n.downNode[m.From] || n.downNode[to]:
+		n.drop(DropNodeDown)
+	case n.linkDown(m.From, to, now):
+		n.drop(DropLinkDown)
+	case n.cfg.LossProb > 0 && n.rng.Bool(n.cfg.LossProb):
+		n.drop(DropLoss)
+	default:
+		arr = append(arr, arrival{at: now + n.delay(), ep: i})
 		if n.cfg.DupProb > 0 && n.rng.Bool(n.cfg.DupProb) {
 			// The duplicate is an extra attempted delivery with its
 			// own delay draws, so the copies can arrive in any order.
 			n.sent++
-			n.transit.push(envelope{msg: m, to: to, deliverAt: now + n.delay()})
+			arr = append(arr, arrival{at: now + n.delay(), ep: i})
 		}
 	}
-	return m.Seq
+	return arr
+}
+
+// enqueue files one Send's accepted arrivals as parcels, one per
+// distinct arrival instant. On a jitter-free channel every copy shares
+// one instant, the arrivals are already sorted, and the whole Send
+// becomes a single parcel.
+func (n *Network) enqueue(m Message, arr []arrival) {
+	n.pending += len(arr)
+	byInstant := func(a, b arrival) int { return cmp.Compare(a.at, b.at) }
+	if !slices.IsSortedFunc(arr, byInstant) {
+		slices.SortFunc(arr, byInstant)
+	}
+	for k := 0; k < len(arr); {
+		p := n.parcel(m, arr[k].at)
+		for ; k < len(arr) && arr[k].at == p.at; k++ {
+			p.to = append(p.to, arr[k].ep)
+		}
+		n.transit.push(p)
+	}
+}
+
+// parcel returns an empty parcel for m arriving at at, recycled when
+// the free list has one.
+func (n *Network) parcel(m Message, at time.Duration) *parcel {
+	var p *parcel
+	if k := len(n.free); k > 0 {
+		p = n.free[k-1]
+		n.free[k-1] = nil
+		n.free = n.free[:k-1]
+	} else {
+		p = &parcel{}
+	}
+	p.msg, p.at = m, at
+	return p
+}
+
+// recycle parks a delivered (or discarded) parcel on the free list,
+// releasing its payload to the GC.
+func (n *Network) recycle(p *parcel) {
+	p.msg = Message{}
+	p.to = p.to[:0]
+	n.free = append(n.free, p)
 }
 
 // SetBoundaryOrder wires the canonical sender order used to replay
@@ -576,28 +627,8 @@ func (n *Network) Now() time.Duration {
 // Network.Hook attaches the engine clock automatically.
 func (n *Network) AttachClock(now func() time.Duration) { n.nowFn = now }
 
-// recipients lists the intended delivery attempts of m into the
-// network's scratch buffer: the named endpoint for a unicast (even if
-// unregistered or the sender itself — Send accounts those as drops),
-// or every registered endpoint except the sender for a broadcast. The
-// returned slice is only valid until the next Send.
-func (n *Network) recipients(m Message) []string {
-	n.recipBuf = n.recipBuf[:0]
-	if m.To != Broadcast {
-		n.recipBuf = append(n.recipBuf, m.To)
-		return n.recipBuf
-	}
-	for _, id := range n.order {
-		if id != m.From {
-			n.recipBuf = append(n.recipBuf, id)
-		}
-	}
-	return n.recipBuf
-}
-
 // Deliver advances the network clock to now and moves due messages to
-// inboxes in deterministic order (deliverAt, then Seq, then
-// recipient). Every due envelope is re-checked against node and link
+// inboxes in deterministic order (deliverAt, then Seq). Every due copy is re-checked against node and link
 // state at its scheduled arrival instant: a recipient whose radio died
 // after the send, a link partitioned mid-flight, or a scheduled
 // Partition window covering the arrival all drop the message (the
@@ -605,53 +636,30 @@ func (n *Network) recipients(m Message) []string {
 // radio). Drops are accounted per cause in StatsBreakdown.
 //
 // The in-transit heap is keyed on exactly that order, so delivery is
-// a pop loop over the due prefix — O(due · log pending) — instead of
-// the pre-change scan + partition + sort over everything in flight.
+// a pop loop over the due parcels — O(due parcels · log pending
+// parcels) plus one step per recipient copy.
 func (n *Network) Deliver(now time.Duration) {
 	n.now = now
-	if n.UseScanDeliver {
-		n.deliverScan(now)
-		return
-	}
-	for len(n.transit) > 0 && n.transit[0].deliverAt <= now {
-		n.deliverOne(n.transit.popMin())
-	}
-}
-
-// deliverScan is the pre-heap Deliver — the oracle arm of the
-// differential tests. It scans the whole in-transit set, partitions
-// it into due and later, sorts the due envelopes, processes them, and
-// re-heapifies the remainder (so the fast path stays correct if the
-// flag is flipped mid-run).
-func (n *Network) deliverScan(now time.Duration) {
-	due, later := n.dueBuf[:0], n.laterBuf[:0]
-	for _, e := range n.transit {
-		if e.deliverAt <= now {
-			due = append(due, e)
-		} else {
-			later = append(later, e)
+	for len(n.transit) > 0 && n.transit[0].at <= now {
+		p := n.transit.popMin()
+		for _, i := range p.to {
+			n.deliverOne(p, &n.eps[i])
 		}
-	}
-	n.dueBuf, n.laterBuf = due, later
-	sort.Slice(due, func(i, j int) bool { return envLess(due[i], due[j]) })
-	n.transit = append(n.transit[:0], later...)
-	n.transit.init()
-	for _, e := range due {
-		n.deliverOne(e)
+		n.pending -= len(p.to)
+		n.recycle(p)
 	}
 }
 
-// deliverOne applies the arrival-time re-check to one due envelope and
-// either drops it or appends it to the recipient's inbox.
-func (n *Network) deliverOne(e envelope) {
+// deliverOne applies the arrival-time re-check to one recipient copy
+// of a due parcel and either drops it or appends it to the inbox.
+func (n *Network) deliverOne(p *parcel, ep *endpoint) {
 	switch {
-	case n.downNode[e.to]:
+	case n.downNode[ep.id]:
 		n.drop(DropNodeDown)
-	case n.downLink[[2]string{e.msg.From, e.to}] || n.partitioned(e.msg.From, e.to, e.deliverAt):
+	case n.linkDown(p.msg.From, ep.id, p.at):
 		n.drop(DropLinkDown)
 	default:
-		box := n.inbox[e.to]
-		box.cur = append(box.cur, e.msg)
+		ep.cur = append(ep.cur, p.msg)
 	}
 }
 
@@ -663,20 +671,22 @@ func (n *Network) deliverOne(e envelope) {
 // reused. Callers must consume or copy it within the current tick —
 // every entity in this repository ranges over it immediately.
 func (n *Network) Receive(id string) []Message {
-	box := n.inbox[id]
-	if box == nil {
+	i, ok := n.index[id]
+	if !ok {
 		return nil
 	}
-	msgs := box.cur
-	box.cur, box.prev = box.prev[:0], msgs
+	ep := &n.eps[i]
+	msgs := ep.cur
+	ep.cur, ep.prev = ep.prev[:0], msgs
 	if len(msgs) == 0 {
 		return nil
 	}
 	return msgs
 }
 
-// Pending returns the number of messages in transit.
-func (n *Network) Pending() int { return len(n.transit) }
+// Pending returns the number of messages in transit, counting every
+// recipient copy.
+func (n *Network) Pending() int { return n.pending }
 
 // Stats returns per-recipient delivery accounting: sent counts every
 // attempted delivery (a broadcast to k recipients counts k, and a

@@ -10,18 +10,16 @@ import (
 )
 
 // driveDifferential runs an identical randomized traffic script
-// through two networks — the min-heap Deliver and the scan+sort
-// oracle (UseScanDeliver) — and asserts every observable output is
-// identical: drained inbox streams, Stats, StatsBreakdown, Pending.
-// Both arms consume their own identically-seeded RNG, so any
-// divergence is a delivery-order or accounting bug, not noise.
-func driveDifferential(t *testing.T, cfg NetConfig, seed int64, ticks int) {
+// through two networks — the parcel-heap Network and the per-envelope
+// scan+sort reference model (refNetwork) — and asserts every
+// observable output is identical: drained inbox streams, Seq, Stats,
+// StatsBreakdown, Pending. Both arms consume their own
+// identically-seeded RNG, so any divergence is a delivery-order or
+// accounting bug, not noise.
+func driveDifferential(t *testing.T, cfg NetConfig, ids []string, seed int64, ticks int) {
 	t.Helper()
 	fast := NewNetwork(cfg, sim.NewRNG(seed))
-	oracle := NewNetwork(cfg, sim.NewRNG(seed))
-	oracle.UseScanDeliver = true
-
-	ids := []string{"a", "b", "c", "d", "e", "f"}
+	oracle := newRefNetwork(cfg, sim.NewRNG(seed))
 	for _, id := range ids {
 		fast.MustRegister(id)
 		oracle.MustRegister(id)
@@ -85,16 +83,30 @@ func driveDifferential(t *testing.T, cfg NetConfig, seed int64, ticks int) {
 }
 
 // TestHeapDeliverMatchesScanOracle is the differential property test
-// over the chaos configuration space.
+// over the chaos configuration space. Besides the six-endpoint chaos
+// configs it covers the parcel grouping's edge cases: a 400-endpoint
+// fleet registered in numeric order, which is not ID order ("v2"
+// sorts after "v10"); duplicate copies landing on their original's
+// instant; and a nanosecond jitter that makes the copies of one Send
+// collide on a few distinct instants.
 func TestHeapDeliverMatchesScanOracle(t *testing.T) {
-	configs := map[string]NetConfig{
-		"perfect": {},
-		"latency": {Latency: 150 * time.Millisecond},
-		"jitter":  {Latency: 50 * time.Millisecond, Jitter: 400 * time.Millisecond},
-		"lossy":   {Latency: 50 * time.Millisecond, Jitter: 200 * time.Millisecond, LossProb: 0.2},
-		"reorder": {Latency: 50 * time.Millisecond, ReorderProb: 0.3, ReorderWindow: time.Second},
-		"dup":     {Latency: 50 * time.Millisecond, Jitter: 100 * time.Millisecond, DupProb: 0.25},
-		"everything": {
+	six := []string{"a", "b", "c", "d", "e", "f"}
+	fleet := make([]string, 400)
+	for i := range fleet {
+		fleet[i] = fmt.Sprintf("v%d", i)
+	}
+	cases := map[string]struct {
+		cfg   NetConfig
+		ids   []string
+		ticks int
+	}{
+		"perfect": {cfg: NetConfig{}},
+		"latency": {cfg: NetConfig{Latency: 150 * time.Millisecond}},
+		"jitter":  {cfg: NetConfig{Latency: 50 * time.Millisecond, Jitter: 400 * time.Millisecond}},
+		"lossy":   {cfg: NetConfig{Latency: 50 * time.Millisecond, Jitter: 200 * time.Millisecond, LossProb: 0.2}},
+		"reorder": {cfg: NetConfig{Latency: 50 * time.Millisecond, ReorderProb: 0.3, ReorderWindow: time.Second}},
+		"dup":     {cfg: NetConfig{Latency: 50 * time.Millisecond, Jitter: 100 * time.Millisecond, DupProb: 0.25}},
+		"everything": {cfg: NetConfig{
 			Latency: 80 * time.Millisecond, Jitter: 300 * time.Millisecond,
 			LossProb: 0.1, ReorderProb: 0.2, DupProb: 0.15,
 			Partitions: []Partition{
@@ -102,12 +114,24 @@ func TestHeapDeliverMatchesScanOracle(t *testing.T) {
 				{A: "c", From: 8 * time.Second, Until: 9 * time.Second},
 				{A: PartitionAny, B: PartitionAny, From: 12 * time.Second, Until: 13 * time.Second},
 			},
-		},
+		}},
+		"fleet400_unsorted_registration": {
+			cfg: NetConfig{Latency: 50 * time.Millisecond, LossProb: 0.05}, ids: fleet, ticks: 40},
+		"dup_same_instant": {cfg: NetConfig{Latency: 50 * time.Millisecond, DupProb: 0.5}},
+		"jitter_ns_collisions": {
+			cfg: NetConfig{Latency: 50 * time.Millisecond, Jitter: 3 * time.Nanosecond, DupProb: 0.3},
+			ids: fleet, ticks: 40},
 	}
-	for name, cfg := range configs {
+	for name, tc := range cases {
+		if tc.ids == nil {
+			tc.ids = six
+		}
+		if tc.ticks == 0 {
+			tc.ticks = 200
+		}
 		t.Run(name, func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
-				driveDifferential(t, cfg, seed, 200)
+				driveDifferential(t, tc.cfg, tc.ids, seed, tc.ticks)
 			}
 		})
 	}

@@ -14,7 +14,6 @@ import (
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
 	"coopmrm/internal/metrics"
-	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/vehicle"
 	"coopmrm/internal/world"
@@ -106,6 +105,9 @@ type CustomRig struct {
 	Model        *core.DependencyModel
 	Collector    *metrics.Collector
 	Injector     *fault.Injector
+
+	// view is the obstacle monitors' shared neighbour feed.
+	view fleetView
 
 	// Warm-rig lifecycle state (see QuarryRig).
 	cfg   FileConfig
@@ -286,18 +288,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 		}
 		return false
 	}
-	neighborsOf := func(self *core.Constituent) func() []sensor.Target {
-		var buf []sensor.Target // per-closure scratch, reused every tick
-		return func() []sensor.Target {
-			buf = buf[:0]
-			for _, o := range rig.Constituents {
-				if o != self {
-					buf = append(buf, sensor.Target{ID: o.ID(), Pos: o.Body().Position()})
-				}
-			}
-			return buf
-		}
-	}
+	rig.view.track(engine.Env().Clock, rig.Constituents)
 
 	// Haul agents.
 	for i, vc := range cfg.Fleet {
@@ -307,7 +298,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 			Loop:            vc.Loop,
 			UnitsPerDeposit: 1,
 			Speed:           vc.SpeedMS,
-			Neighbors:       neighborsOf(c),
+			Neighbors:       rig.view.feed,
 		}
 		if hc.Speed <= 0 {
 			hc.Speed = 8

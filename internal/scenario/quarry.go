@@ -12,7 +12,6 @@ import (
 	"coopmrm/internal/fault"
 	"coopmrm/internal/geom"
 	"coopmrm/internal/metrics"
-	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/tms"
 	"coopmrm/internal/vehicle"
@@ -99,9 +98,10 @@ type QuarryRig struct {
 	// reach class-specific knobs (evacuations, designed responses).
 	Policies []sim.Entity
 
-	// allBuf caches the diggers+trucks concatenation for the per-tick
-	// neighbor closures (see all).
+	// allBuf caches the diggers+trucks concatenation (see all).
 	allBuf []*core.Constituent
+	// view is the obstacle monitors' shared neighbour feed.
+	view fleetView
 
 	// Warm-rig lifecycle state: the configuration wire() replays on
 	// Reset, the world baseline Snapshot captured, the parked
@@ -130,9 +130,9 @@ func (r *QuarryRig) All() []*core.Constituent {
 	return out
 }
 
-// all is the cached, shared counterpart of All for per-tick internal
-// callers (the neighbor closures): it rebuilds only when the fleet
-// size changed and must not be mutated or exposed.
+// all is the cached, shared counterpart of All for internal callers:
+// it rebuilds only when the fleet size changed and must not be mutated
+// or exposed.
 func (r *QuarryRig) all() []*core.Constituent {
 	if len(r.allBuf) != len(r.Diggers)+len(r.Trucks) {
 		r.allBuf = append(append(r.allBuf[:0], r.Diggers...), r.Trucks...)
@@ -353,6 +353,8 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 		}
 	}
 
+	r.view.track(e.Env().Clock, r.all())
+
 	// Haul agents for trucks (all policies but orchestrated use them;
 	// orchestrated drives via TMS tasks instead).
 	if cfg.Policy != PolicyOrchestrated {
@@ -368,7 +370,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 				ServiceNodes:    map[string]bool{"load": true},
 				ServiceTime:     3 * time.Second,
 				ServiceGate:     operationalDigger,
-				Neighbors:       r.neighborsOf(c),
+				Neighbors:       r.view.feed,
 				World:           w,
 				Patience:        cfg.Patience,
 			})
@@ -502,10 +504,6 @@ func (r *QuarryRig) wireShards(shards int) {
 	if shards <= 1 {
 		return
 	}
-	// Pre-warm the cached constituent list: the neighbour closures call
-	// all() from worker goroutines, and the lazy rebuild must happen
-	// once here, not racily on the first tick.
-	r.all()
 	order := make(map[string]int, len(r.Engine.Entities()))
 	for i, ent := range r.Engine.Entities() {
 		if c, ok := ent.(*core.Constituent); ok {
@@ -534,24 +532,6 @@ func (r *QuarryRig) wireShards(shards int) {
 		EndParallel:   func(*sim.Env) { r.Net.FlushBoundary() },
 	})
 	r.Collector.Workers = shards
-}
-
-// neighborsOf returns the detection targets for one constituent: the
-// positions of every other constituent. The closure owns a scratch
-// slice (and iterates the cached constituent list) so the per-tick
-// detection pass allocates nothing in steady state; callers must not
-// retain the returned slice across calls.
-func (r *QuarryRig) neighborsOf(self *core.Constituent) func() []sensor.Target {
-	var buf []sensor.Target
-	return func() []sensor.Target {
-		buf = buf[:0]
-		for _, o := range r.all() {
-			if o != self {
-				buf = append(buf, sensor.Target{ID: o.ID(), Pos: o.Body().Position()})
-			}
-		}
-		return buf
-	}
 }
 
 func (r *QuarryRig) addPolicy(p sim.Entity) {
@@ -651,7 +631,7 @@ func (r *QuarryRig) wirePolicy(cfg QuarryConfig) error {
 		r.Engine.MustRegister(r.Director)
 		for _, c := range r.All() {
 			o := collab.NewOrchestrated(c, r.Net, g, "tms", 10)
-			o.Monitor = agent.NewObstacleMonitor(c, r.neighborsOf(c), r.World)
+			o.Monitor = agent.NewObstacleMonitor(c, r.view.feed, r.World)
 			o.World = r.World
 			r.addPolicy(o)
 		}

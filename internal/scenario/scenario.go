@@ -10,10 +10,12 @@ package scenario
 import (
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"coopmrm/internal/core"
 	"coopmrm/internal/metrics"
+	"coopmrm/internal/sensor"
 	"coopmrm/internal/sim"
 	"coopmrm/internal/traj"
 	"coopmrm/internal/world"
@@ -150,6 +152,50 @@ func (s *obstacleSnapshot) obstaclesFor(id string) func() []traj.Obstacle {
 		}
 		return buf
 	}
+}
+
+// fleetView is a rig's shared neighbour feed for the obstacle
+// monitors: every constituent's position, built once per tick on the
+// tick's first feed call and handed to every monitor, which skips its
+// own entry (agent.ObstacleMonitor). One list per tick replaces one
+// rebuilt per monitor — O(fleet²) pointer chasing a tick.
+//
+// A single build serves the whole tick because positions change only
+// in Constituent.Step (and in set-up Teleports), every feed consumer —
+// haul agents, orchestrated monitors — is registered after every
+// constituent, and the sharded plan's strata observe only
+// fully-stepped earlier strata: every feed call within one tick sees
+// the same positions. The mutex makes the first-call build safe when
+// the haul stratum steps on worker goroutines.
+type fleetView struct {
+	clock   *sim.Clock
+	cs      []*core.Constituent
+	mu      sync.Mutex
+	tick    int64 // the tick targets was built for; -1 when stale
+	targets []sensor.Target
+}
+
+// track binds the view to a rig's fleet and engine clock and marks it
+// stale. wire calls it once the constituents are registered, so a
+// Reset never serves the previous run's positions.
+func (v *fleetView) track(clock *sim.Clock, cs []*core.Constituent) {
+	v.clock, v.cs, v.tick = clock, cs, -1
+}
+
+// feed returns every constituent's position this tick. The slice is
+// shared by all monitors: callers must not modify it or retain it
+// past the tick.
+func (v *fleetView) feed() []sensor.Target {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if tick := v.clock.Tick(); tick != v.tick {
+		v.targets = v.targets[:0]
+		for _, c := range v.cs {
+			v.targets = append(v.targets, sensor.Target{ID: c.ID(), Pos: c.Body().Position()})
+		}
+		v.tick = tick
+	}
+	return v.targets
 }
 
 // runFor drives an engine for the horizon and packages the result.

@@ -8,6 +8,7 @@ package sensor
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -239,11 +240,22 @@ func (st *Suite) Detect(observer geom.Vec2, targets []Target) []Detection {
 // reuse scratch storage instead of allocating a detection slice every
 // tick. The sort is slices.SortFunc rather than sort.Slice to avoid
 // the reflect-based swapper allocation on the hot path.
+//
+// A target whose offset exceeds the range on either axis is skipped
+// before the distance is computed. The cull is exact: the distance is
+// math.Hypot of the same offset (observer.Dist(t.Pos)), which evaluates
+// max·sqrt(1+(min/max)²) and so is never below max(|dx|, |dy|). A NaN
+// offset never compares greater, so it reaches the distance test,
+// which decides it exactly as without the cull.
 func (st *Suite) DetectInto(buf []Detection, observer geom.Vec2, targets []Target) []Detection {
 	r := st.EffectiveRange()
 	start := len(buf)
 	for _, t := range targets {
-		d := observer.Dist(t.Pos)
+		off := observer.Sub(t.Pos)
+		if math.Abs(off.X) > r || math.Abs(off.Y) > r {
+			continue
+		}
+		d := off.Len()
 		if d <= r {
 			buf = append(buf, Detection{ID: t.ID, Pos: t.Pos, Distance: d})
 		}
