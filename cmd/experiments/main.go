@@ -4,7 +4,7 @@
 // Usage:
 //
 //	experiments [-run E3,E5] [-quick] [-seed 7] [-list]
-//	            [-parallel N] [-shards N] [-reuse-rigs]
+//	            [-parallel N] [-reuse-rigs]
 //	            [-seeds 1..32] [-format text|csv|markdown]
 //	            [-stream] [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //	            [-out DIR] [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE]
@@ -69,7 +69,6 @@ func run(args []string, stdout io.Writer) error {
 	ablations := fs.Bool("ablations", false, "run the design ablations (A1..A5) instead of the experiments")
 	format := fs.String("format", "text", "output format: text | csv | markdown")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "worker pool size; 1 runs serially, output is identical either way")
-	shards := fs.Int("shards", 0, "worker goroutines per scenario rig (sharded tick engine); <=1 runs sequentially, output is identical either way")
 	reuseRigs := fs.Bool("reuse-rigs", false, "serve campaign rigs from the warm-rig pool (snapshot/reset) instead of constructing per seed; output is identical either way")
 	seeds := fs.String("seeds", "", `seed sweep: "1..32", "3,5,9", or "x8" (derived from -seed); aggregates per-seed tables`)
 	stream := fs.Bool("stream", false, "streaming seed-sweep campaign: fold per-seed tables online (memory independent of seed count); aggregated cells gain [n, 95% CI half-width]. Requires -seeds")
@@ -131,7 +130,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	opt := coopmrm.Options{Seed: *seed, Quick: *quick, Shards: *shards, ReuseRigs: *reuseRigs}
+	opt := coopmrm.Options{Seed: *seed, Quick: *quick, ReuseRigs: *reuseRigs}
 
 	var seedList []int64
 	if *seeds != "" {

@@ -118,7 +118,6 @@ func runE20Seed(opt Options) Table {
 		Pairs: 2, TrucksPerPair: 1,
 		Policy: scenario.PolicyCoordinated,
 		Seed:   opt.Seed,
-		Shards: opt.Shards,
 	})
 	res := rig.Run(horizon)
 	opt.Observe("cell", res.Report, res.Log, rig.Net, rig.Injector)

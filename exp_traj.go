@@ -18,10 +18,6 @@ import (
 // × fault mode (blind sensor, steering loss, severe brake loss) and
 // aggregates over seeds with the streaming campaign machinery, so the
 // numeric cells carry mean±sd and the 95% CI half-width.
-//
-// Shards: the per-seed rig honours opt.Shards, and the planner's
-// private per-constituent RNG streams keep its output byte-identical
-// for any worker count — asserted by the E19 differential test.
 func RunE19(opt Options) Table {
 	opt = opt.withDefaults()
 	inner := Experiment{
@@ -99,7 +95,6 @@ func runE19Seed(opt Options) Table {
 				Pairs: 2, TrucksPerPair: 1,
 				Policy: class.policy,
 				Seed:   opt.Seed,
-				Shards: opt.Shards,
 				Faults: []fault.Fault{{
 					ID: "e19", Target: "truck1_1", Kind: fm.kind,
 					Severity: fm.severity, Permanent: true, At: 30 * time.Second,

@@ -18,16 +18,14 @@ type Options struct {
 	// must never share a recorder; the parallel harness attaches one
 	// per job.
 	Artifacts *artifact.Recorder
-	// Shards > 1 runs scenario rigs on the sharded tick engine with
-	// that many worker goroutines. Output — tables, bundles, events —
-	// is byte-identical to Shards <= 1 (sequential); only wall time
-	// changes. Experiments that manage their own shard arms (E18)
-	// interpret it as the sharded arm's worker count.
+	// Deprecated: Shards is read nowhere; every rig steps
+	// sequentially and runs parallelise across seeds instead. It
+	// remains only so existing callers compile.
 	Shards int
 	// ReuseRigs serves campaign rigs from the warm-rig pool: a parked
 	// rig is Reset to the requested seed instead of constructed from
-	// scratch (internal/scenario.AcquireQuarry). Like Shards this is
-	// an operational knob — reset output is byte-identical to fresh
+	// scratch (internal/scenario.AcquireQuarry). This is an
+	// operational knob — reset output is byte-identical to fresh
 	// construction (the warm-rig differentials), so tables, bundles
 	// and checkpoints do not depend on it; only wall time changes.
 	ReuseRigs bool
@@ -68,7 +66,7 @@ func AllExperiments() []Experiment {
 		{"E15", "Autonomous recovery from transient MRCs", "Sec. V future work", RunE15},
 		{"E16", "Fleet-size scale sweep: cooperation payoff per deployment size", "scale extension (deployment-level evaluation)", RunE16},
 		{"E17", "V2X chaos: partition duration x loss x reorder per class", "design: V2X robustness", RunE17},
-		{"E18", "Mega-fleet scale: sharded tick engine, 50-2000 pairs", "scale extension (infrastructure-level fleets)", RunE18},
+		{"E18", "Mega-fleet scale sweep, 50-2000 pairs", "scale extension (infrastructure-level fleets)", RunE18},
 		{"E19", "Transition risk per interaction class and fault mode", "planner extension (quantified Definition 3 risk)", RunE19},
 		{"E20", "Campaign throughput: warm-rig pool vs fresh construction", "perf extension (snapshot/reset rig reuse)", RunE20},
 	}

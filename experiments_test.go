@@ -3,6 +3,7 @@ package coopmrm
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"coopmrm/internal/scenario"
 )
@@ -521,6 +522,53 @@ func TestE17Shape(t *testing.T) {
 		// just within tolerance (locks the experiment's signal).
 		if v2x && !(arms[len(arms)-1].deliveries < arms[0].deliveries) {
 			t.Errorf("%s: longest blackout did not reduce productivity: %+v", class, arms)
+		}
+	}
+}
+
+// TestE18Shape: the quick sweep covers {50, 200} pairs × {baseline,
+// status_sharing} with two constituents per pair, and at each size
+// status sharing never costs productivity or safety against the
+// stranded truck. The quick 30 s horizon is too short for any truck
+// to finish a haul cycle (both arms read 0.00 units/min), so the
+// strict productivity gain is checked at the full 60 s horizon.
+func TestE18Shape(t *testing.T) {
+	tab := RunE18(quick())
+	var got []string
+	for _, row := range tab.Rows {
+		got = append(got, row[0]+"/"+row[2])
+	}
+	want := "50/baseline 50/status_sharing 200/baseline 200/status_sharing"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("rows = %v, want %s", got, want)
+	}
+	for i := 0; i < len(tab.Rows); i += 2 {
+		pairs := tab.Rows[i][0]
+		for _, r := range []int{i, i + 1} {
+			if tab.CellFloat(r, 1) != 2*tab.CellFloat(r, 0) {
+				t.Errorf("row %d: constituents = %s for %s pairs", r, tab.Cell(r, 1), tab.Cell(r, 0))
+			}
+		}
+		if tab.CellFloat(i+1, 3) < tab.CellFloat(i, 3) {
+			t.Errorf("pairs=%s: status sharing lost productivity: %s < %s", pairs, tab.Cell(i+1, 3), tab.Cell(i, 3))
+		}
+		if tab.CellFloat(i+1, 4) > tab.CellFloat(i, 4) {
+			t.Errorf("pairs=%s: status sharing raised near misses: %s > %s", pairs, tab.Cell(i+1, 4), tab.Cell(i, 4))
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	for _, pairs := range []int{50, 200} {
+		base := runE18Arm(quick(), pairs, scenario.PolicyBaseline, 60*time.Second)
+		coop := runE18Arm(quick(), pairs, scenario.PolicyStatusSharing, 60*time.Second)
+		if !(coop.delivered > base.delivered) {
+			t.Errorf("pairs=%d: status sharing delivered %v units in 60 s, baseline %v",
+				pairs, coop.delivered, base.delivered)
+		}
+		if coop.nearMisses > base.nearMisses {
+			t.Errorf("pairs=%d: status sharing near misses %d > baseline %d",
+				pairs, coop.nearMisses, base.nearMisses)
 		}
 	}
 }

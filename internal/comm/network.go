@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 
 	"coopmrm/internal/sim"
@@ -189,18 +188,6 @@ type Network struct {
 	sent      int64
 	dropped   int64
 	droppedBy [numDropCauses]int64
-
-	// Boundary mode defers Sends made during a parallel shard batch
-	// and replays them at the batch barrier in canonical sender order,
-	// so the Seq assignment and RNG stream are byte-identical to the
-	// sequential tick loop whatever the worker count (see
-	// BeginBoundary). boundaryOn is written only between batches with
-	// no workers running (the goroutine start/join edges order it);
-	// boundaryMu serialises the concurrent buffer appends themselves.
-	boundaryOn    bool
-	boundaryOrder func(from string) int
-	boundaryMu    sync.Mutex
-	boundaryBuf   []Message
 }
 
 // endpoint is one registered radio. Its inbox is double-buffered:
@@ -339,10 +326,6 @@ func (n *Network) Reset(seed int64) {
 	n.sent = 0
 	n.dropped = 0
 	n.droppedBy = [numDropCauses]int64{}
-	n.boundaryOn = false
-	n.boundaryOrder = nil
-	clear(n.boundaryBuf)
-	n.boundaryBuf = n.boundaryBuf[:0]
 }
 
 // Register creates an inbox for the given ID. Duplicate registration
@@ -440,15 +423,6 @@ func (n *Network) linkDown(from, to string, t time.Duration) bool {
 // silently drops (the radio is dead; the sender cannot know) — every
 // attempted delivery is accounted in Stats either way.
 func (n *Network) Send(m Message) int64 {
-	if n.boundaryOn {
-		// Deferred: the envelope is buffered verbatim and replayed by
-		// FlushBoundary. No Seq is assigned yet (0 signals deferral);
-		// no caller in this repository consumes the return value.
-		n.boundaryMu.Lock()
-		n.boundaryBuf = append(n.boundaryBuf, m)
-		n.boundaryMu.Unlock()
-		return 0
-	}
 	now := n.Now()
 	n.seq++
 	m.Seq = n.seq
@@ -549,45 +523,6 @@ func (n *Network) recycle(p *parcel) {
 	p.msg = Message{}
 	p.to = p.to[:0]
 	n.free = append(n.free, p)
-}
-
-// SetBoundaryOrder wires the canonical sender order used to replay
-// boundary-deferred sends: order maps a sender ID to its engine
-// registration index. It must be set before the first BeginBoundary.
-func (n *Network) SetBoundaryOrder(order func(from string) int) {
-	n.boundaryOrder = order
-}
-
-// BeginBoundary enters boundary mode: until FlushBoundary, Send only
-// buffers envelopes. The sharded tick loop brackets every parallel
-// batch with BeginBoundary/FlushBoundary so worker goroutines never
-// touch the Seq counter, the RNG, or the transit heap — the three
-// pieces of Send whose mutation order is observable across ticks.
-func (n *Network) BeginBoundary() {
-	if n.boundaryOrder == nil {
-		panic("comm: BeginBoundary without SetBoundaryOrder")
-	}
-	n.boundaryOn = true
-}
-
-// FlushBoundary leaves boundary mode and replays the buffered sends
-// through the real Send path in canonical sender order. Each sender
-// runs on one worker goroutine, so its own sends are already in
-// program order in the buffer; the stable sort then interleaves
-// senders exactly as the sequential loop would have (ascending
-// registration index), reproducing the same Seq assignments, RNG
-// draws, and SentAt stamps byte for byte.
-func (n *Network) FlushBoundary() {
-	n.boundaryOn = false
-	buf := n.boundaryBuf
-	slices.SortStableFunc(buf, func(a, b Message) int {
-		return n.boundaryOrder(a.From) - n.boundaryOrder(b.From)
-	})
-	for i := range buf {
-		n.Send(buf[i])
-		buf[i] = Message{} // release payload maps to the GC
-	}
-	n.boundaryBuf = buf[:0]
 }
 
 // delay draws one delivery delay: base latency, plus jitter, plus —

@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"slices"
-	"sync"
 )
 
 // Grid is a uniform-cell broad-phase index over indexed point sites.
@@ -25,44 +24,13 @@ type Grid struct {
 	// cells Reset dropped, for reuse by the next cycle's cells.
 	occupied []gridKey
 	spare    [][]int
-
-	// workerBufs are the per-worker pair buffers of
-	// CandidatePairsParallel, kept so a per-tick caller amortises the
-	// fan-out to zero allocations like the sequential path.
-	workerBufs [][][2]int
 }
 
 type gridKey struct{ x, y int }
 
-// cellHash folds a cell key into a stable non-negative bucket id. The
-// multipliers are the classic 2-D spatial-hash primes; the result
-// depends only on the cell coordinates (no map iteration order, no
-// pointer identity), so shard assignment and cell ownership are
-// deterministic across runs and platforms.
-func cellHash(k gridKey) uint32 {
-	return uint32(k.x)*2654435761 ^ uint32(k.y)*2246822519
-}
-
-// ShardOf assigns a point to one of shards spatial shards by hashing
-// the grid cell (of the given cell size) that contains it. Points in
-// the same cell always share a shard; a moving entity migrates to a
-// new shard exactly when it crosses a cell boundary. The assignment
-// is deterministic and balance comes from the hash, so callers can
-// re-evaluate it every tick without any cross-tick state.
-func ShardOf(p Vec2, cellSize float64, shards int) int {
-	if shards <= 1 {
-		return 0
-	}
-	if cellSize <= 0 {
-		cellSize = math.SmallestNonzeroFloat64
-	}
-	x, y := CellOf(p, cellSize)
-	return int(cellHash(gridKey{x, y}) % uint32(shards))
-}
-
 // CellOf returns the key of the cell of the given size holding p,
-// floor(coordinate/size) on each axis. Grid and ShardOf key cells with
-// it, so a caller that must agree with a Grid's cell adjacency uses it
+// floor(coordinate/size) on each axis. Grid keys its cells with it,
+// so a caller that must agree with a Grid's cell adjacency uses it
 // too.
 func CellOf(p Vec2, size float64) (x, y int) {
 	return int(math.Floor(p.X / size)), int(math.Floor(p.Y / size))
@@ -122,45 +90,6 @@ func (g *Grid) CandidatePairs(buf [][2]int) [][2]int {
 	start := len(buf)
 	for _, k := range g.occupied {
 		buf = g.appendCellPairs(buf, k, g.cells[k])
-	}
-	sortPairs(buf[start:])
-	return buf
-}
-
-// CandidatePairsParallel is CandidatePairs fanned across workers: each
-// worker enumerates the pairs of the cells it owns (ownership by cell
-// hash, so every cell is visited exactly once), reading neighbouring
-// buckets read-only for the boundary pairs, and the per-worker buffers
-// are concatenated and sorted with the sequential comparator. The
-// enumerated multiset is identical to the sequential pass whatever the
-// worker count, so after the global sort the returned slice is
-// byte-identical to CandidatePairs — the broad-phase arm of the shard
-// determinism guarantee.
-func (g *Grid) CandidatePairsParallel(buf [][2]int, workers int) [][2]int {
-	if workers <= 1 || len(g.occupied) < 2*workers {
-		return g.CandidatePairs(buf)
-	}
-	for len(g.workerBufs) < workers {
-		g.workerBufs = append(g.workerBufs, nil)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			out := g.workerBufs[w][:0]
-			for _, k := range g.occupied {
-				if int(cellHash(k)%uint32(workers)) == w {
-					out = g.appendCellPairs(out, k, g.cells[k])
-				}
-			}
-			g.workerBufs[w] = out
-		}(w)
-	}
-	wg.Wait()
-	start := len(buf)
-	for w := 0; w < workers; w++ {
-		buf = append(buf, g.workerBufs[w]...)
 	}
 	sortPairs(buf[start:])
 	return buf

@@ -12,7 +12,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"coopmrm/internal/geom"
@@ -88,15 +87,6 @@ type Collector struct {
 	// benchmarks. Reports are identical either way.
 	UseBruteForce bool
 
-	// Workers > 1 fans the two embarrassingly-parallel pieces of a
-	// sample — the footprint cache fill (disjoint per-probe writes)
-	// and the broad-phase pair enumeration — across that many
-	// goroutines. The narrow phase (latch maps, event emits) stays
-	// sequential, so reports and emitted events are byte-identical for
-	// any worker count. Small fleets fall back to the sequential path
-	// (goroutine fan-out costs more than it saves below ~64 probes).
-	Workers int
-
 	taskUnits     float64
 	riskExposure  float64
 	collisions    int
@@ -157,7 +147,6 @@ func NewCollector(probes ...Probe) *Collector {
 func (c *Collector) Reinit() {
 	c.NearMissDist = 1.0
 	c.UseBruteForce = false
-	c.Workers = 0
 	c.taskUnits = 0
 	c.riskExposure = 0
 	c.collisions = 0
@@ -235,54 +224,15 @@ func (c *Collector) Sample(env *sim.Env) {
 	c.pairSeen = true
 	// Footprint cache: each probe's Footprint() closure runs at most
 	// once per tick, whatever the pair count.
-	c.fillFootprints()
+	for i, p := range c.probes {
+		c.boxes[i] = p.Footprint()
+		c.halfDiag[i] = 0.5 * math.Hypot(c.boxes[i].Length, c.boxes[i].Width)
+	}
 	if c.UseBruteForce {
 		c.sampleBrute(env)
 	} else {
 		c.sampleIndexed(env)
 	}
-}
-
-// parallelFloor is the probe count below which fillFootprints stays
-// sequential even with Workers set: the goroutine fan-out overhead
-// exceeds the footprint work for small fleets.
-const parallelFloor = 64
-
-// fillFootprints populates the per-tick footprint and half-diagonal
-// caches, fanned across Workers goroutines over contiguous probe
-// chunks when the fleet is large enough. Each probe's slots are
-// written by exactly one worker and Footprint() only reads its own
-// constituent, so the fill is race-free and order-independent.
-func (c *Collector) fillFootprints() {
-	n := len(c.probes)
-	workers := c.Workers
-	if workers > n/parallelFloor {
-		workers = n / parallelFloor
-	}
-	if workers <= 1 {
-		for i, p := range c.probes {
-			c.boxes[i] = p.Footprint()
-			c.halfDiag[i] = 0.5 * math.Hypot(c.boxes[i].Length, c.boxes[i].Width)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				c.boxes[i] = c.probes[i].Footprint()
-				c.halfDiag[i] = 0.5 * math.Hypot(c.boxes[i].Length, c.boxes[i].Width)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 // sampleBrute scores every pair — the O(n²) oracle path.
@@ -317,7 +267,7 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 	for i := range c.boxes {
 		c.grid.Insert(i, c.boxes[i].Center)
 	}
-	c.pairBuf = c.grid.CandidatePairsParallel(c.pairBuf[:0], c.Workers)
+	c.pairBuf = c.grid.CandidatePairs(c.pairBuf[:0])
 	clear(c.scored)
 	for _, pr := range c.pairBuf {
 		c.scorePair(env, pr[0], pr[1])

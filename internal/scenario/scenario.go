@@ -10,7 +10,6 @@ package scenario
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"coopmrm/internal/core"
@@ -97,11 +96,10 @@ func probeFor(c *core.Constituent, w *world.World) metrics.Probe {
 // obstacleSnapshot feeds the constituents' trajectory planners: a
 // sequential pre-hook copies every constituent's observed state into a
 // read-only snapshot once per tick, and obstaclesFor serves
-// everyone-but-self views of it. Planning events running on worker
-// goroutines under the sharded tick engine read only the snapshot —
-// never live bodies — which keeps the sharded run race-free and
-// byte-identical to the sequential one (the snapshot is always the
-// pre-step state of the tick, whatever the step interleaving).
+// everyone-but-self views of it. Planners read only the snapshot —
+// never live bodies — so every plan made within a tick sees the same
+// pre-step state of the fleet, whichever constituents have already
+// stepped.
 type obstacleSnapshot struct {
 	cs    []*core.Constituent
 	radii []float64
@@ -163,14 +161,11 @@ func (s *obstacleSnapshot) obstaclesFor(id string) func() []traj.Obstacle {
 // A single build serves the whole tick because positions change only
 // in Constituent.Step (and in set-up Teleports), every feed consumer —
 // haul agents, orchestrated monitors — is registered after every
-// constituent, and the sharded plan's strata observe only
-// fully-stepped earlier strata: every feed call within one tick sees
-// the same positions. The mutex makes the first-call build safe when
-// the haul stratum steps on worker goroutines.
+// constituent: every feed call within one tick sees the same
+// positions.
 type fleetView struct {
 	clock   *sim.Clock
 	cs      []*core.Constituent
-	mu      sync.Mutex
 	tick    int64 // the tick targets was built for; -1 when stale
 	targets []sensor.Target
 }
@@ -186,8 +181,6 @@ func (v *fleetView) track(clock *sim.Clock, cs []*core.Constituent) {
 // shared by all monitors: callers must not modify it or retain it
 // past the tick.
 func (v *fleetView) feed() []sensor.Target {
-	v.mu.Lock()
-	defer v.mu.Unlock()
 	if tick := v.clock.Tick(); tick != v.tick {
 		v.targets = v.targets[:0]
 		for _, c := range v.cs {

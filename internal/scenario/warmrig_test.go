@@ -59,7 +59,7 @@ type quarryWarmCase struct {
 // quarryWarmCases samples the quarry configuration space: every layer
 // wire() touches has at least one case exercising it (haul agents,
 // each policy family's wiring shape, fault schedules, chaos network
-// configs, the sharded tick plan).
+// configs).
 func quarryWarmCases() map[string]quarryWarmCase {
 	// Jitter wide enough to move deliveries across tick boundaries and
 	// a little loss: both draw from the seeded network RNG, making the
@@ -86,7 +86,6 @@ func quarryWarmCases() map[string]quarryWarmCase {
 		"prescriptive": {cfg: QuarryConfig{Policy: PolicyPrescriptive, Net: jitter, Faults: f}, seedSensitive: true},
 		"orchestrated": {cfg: QuarryConfig{Policy: PolicyOrchestrated, Net: jitter, Faults: f}, seedSensitive: true},
 		"chaos":        {cfg: QuarryConfig{Policy: PolicyStatusSharing, Net: chaos, Faults: f}, seedSensitive: true},
-		"sharded":      {cfg: QuarryConfig{Policy: PolicyCoordinated, Pairs: 3, TrucksPerPair: 2, Shards: 3, Net: jitter, Faults: f}, seedSensitive: true},
 	}
 }
 

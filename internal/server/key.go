@@ -35,9 +35,8 @@ type JobRequest struct {
 
 // JobOptions is the wire form of coopmrm.Options.
 type JobOptions struct {
-	Seed   int64 `json:"seed,omitempty"`
-	Quick  bool  `json:"quick,omitempty"`
-	Shards int   `json:"shards,omitempty"`
+	Seed  int64 `json:"seed,omitempty"`
+	Quick bool  `json:"quick,omitempty"`
 }
 
 // SeedsSpec accepts either form of the seeds field: a spec string or
@@ -84,12 +83,14 @@ func (s *SeedsSpec) UnmarshalJSON(data []byte) error {
 // which is sound precisely because the fresh-vs-reset differentials
 // prove the bytes equal.
 type CanonicalJob struct {
-	Experiment string  `json:"experiment"`
-	Seed       int64   `json:"seed"`
-	Quick      bool    `json:"quick"`
-	Shards     int     `json:"shards"`
-	Seeds      []int64 `json:"seeds,omitempty"`
-	Stream     bool    `json:"stream"`
+	Experiment string `json:"experiment"`
+	Seed       int64  `json:"seed"`
+	Quick      bool   `json:"quick"`
+	// Shards is always 0. It stays in the encoding so that job IDs —
+	// the content addresses of cached results — do not change.
+	Shards int     `json:"shards"`
+	Seeds  []int64 `json:"seeds,omitempty"`
+	Stream bool    `json:"stream"`
 }
 
 // Canonicalize validates a request and reduces it to canonical form.
@@ -101,15 +102,11 @@ func Canonicalize(req JobRequest) (CanonicalJob, error) {
 		Experiment: req.Experiment,
 		Seed:       req.Options.Seed,
 		Quick:      req.Options.Quick,
-		Shards:     req.Options.Shards,
 	}
 	if cj.Seed == 0 {
 		// The library default: "seed 0" and "seed omitted" are the
 		// same run and must be the same cache entry.
 		cj.Seed = 1
-	}
-	if cj.Shards < 0 {
-		cj.Shards = 0
 	}
 	switch {
 	case req.Seeds.isList:
@@ -157,7 +154,7 @@ func (c CanonicalJob) Key() string {
 
 // options converts the canonical form back to library options.
 func (c CanonicalJob) options() coopmrm.Options {
-	return coopmrm.Options{Seed: c.Seed, Quick: c.Quick, Shards: c.Shards}
+	return coopmrm.Options{Seed: c.Seed, Quick: c.Quick}
 }
 
 // jobTotal is the number of underlying experiment runs a job performs.

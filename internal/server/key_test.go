@@ -62,7 +62,6 @@ func TestCanonicalKeyDistinctSubmissions(t *testing.T) {
 		`{"experiment":"E2"}`,
 		`{"experiment":"E1","options":{"seed":2}}`,
 		`{"experiment":"E1","options":{"quick":true}}`,
-		`{"experiment":"E1","options":{"shards":4}}`,
 		`{"experiment":"E1","seeds":[1,2]}`,
 		`{"experiment":"E1","seeds":[2,1]}`,
 		`{"experiment":"E1","seeds":[1,2],"stream":false}`,
@@ -74,6 +73,22 @@ func TestCanonicalKeyDistinctSubmissions(t *testing.T) {
 			t.Errorf("%s and %s share key %s", body, prev, key)
 		}
 		seen[key] = body
+	}
+}
+
+// TestCanonicalKeyPinned pins job IDs to their literal values: an ID
+// is the content address of a cached result, so any change to the
+// canonical encoding would orphan every existing cache entry.
+func TestCanonicalKeyPinned(t *testing.T) {
+	for _, tc := range []struct{ body, key string }{
+		{`{"experiment":"E19","options":{"quick":true},"seeds":"1..8"}`,
+			"bc158bf5358f2457e355b61cdcbfc2e3672914e6651169d6709aeafcd4360db1"},
+		{`{"experiment":"E1","options":{"seed":7,"quick":true}}`,
+			"3eb7626879708b670b485851d70d82268d627735301df305c4a19bc9fe90ba57"},
+	} {
+		if got := keyOf(t, tc.body); got != tc.key {
+			t.Errorf("%s keyed %s, want %s", tc.body, got, tc.key)
+		}
 	}
 }
 

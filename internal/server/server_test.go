@@ -318,6 +318,19 @@ func TestServerHTTPErrors(t *testing.T) {
 	}
 }
 
+// TestServerRejectsShardsOption: the options object has no shards
+// field, so a submission naming one is a 400, not a silently
+// different (or silently identical) job.
+func TestServerRejectsShardsOption(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs",
+		strings.NewReader(`{"experiment":"E1","options":{"shards":4}}`)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("shards option: HTTP %d, want 400 (%s)", rec.Code, rec.Body.String())
+	}
+}
+
 func TestServerMetrics(t *testing.T) {
 	s := newTestServer(t, Config{})
 	h := s.Handler()

@@ -82,11 +82,12 @@ func (l *EventLog) Append(e Event) {
 	l.bySubject[e.Subject] = append(l.bySubject[e.Subject], i)
 }
 
-// resetKeepCapacity empties the log while retaining every backing
-// allocation (event array and index slices), so the sharded tick
-// loop's per-worker segment logs amortise to zero garbage. Events are
-// zeroed first to release their Fields maps.
-func (l *EventLog) resetKeepCapacity() {
+// Reset empties the log for a new run while keeping its backing
+// allocations (event array and index slices) — the warm-rig
+// counterpart of NewEventLog. Events are zeroed first to release their
+// Fields maps. A reset log is observationally identical to a fresh one
+// (the differential rig tests prove it at the byte level).
+func (l *EventLog) Reset() {
 	clear(l.events)
 	l.events = l.events[:0]
 	for k, idx := range l.byKind {
@@ -96,12 +97,6 @@ func (l *EventLog) resetKeepCapacity() {
 		l.bySubject[s] = idx[:0]
 	}
 }
-
-// Reset empties the log for a new run while keeping its backing
-// allocations — the warm-rig counterpart of NewEventLog. A reset log
-// is observationally identical to a fresh one (the differential rig
-// tests prove it at the byte level).
-func (l *EventLog) Reset() { l.resetKeepCapacity() }
 
 // Len returns the number of recorded events.
 func (l *EventLog) Len() int { return len(l.events) }

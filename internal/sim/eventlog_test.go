@@ -156,3 +156,18 @@ func BenchmarkEventLogAppend(b *testing.B) {
 		}
 	}
 }
+
+// Reset must leave a log empty but with its indexes alive.
+func TestEventLogResetKeepCapacity(t *testing.T) {
+	l := NewEventLog()
+	l.Append(Event{Kind: EventInfo, Subject: "x"})
+	l.Append(Event{Kind: EventMRMStarted, Subject: "y"})
+	l.Reset()
+	if l.Len() != 0 || len(l.ByKind(EventInfo)) != 0 || len(l.BySubject("x")) != 0 {
+		t.Errorf("reset log not empty: len=%d", l.Len())
+	}
+	l.Append(Event{Kind: EventInfo, Subject: "x"})
+	if l.Len() != 1 || len(l.BySubject("x")) != 1 {
+		t.Error("log unusable after reset")
+	}
+}

@@ -12,10 +12,8 @@
 //
 // Determinism: every Planner owns a private RNG seeded from the run
 // seed and the constituent ID (Seed), so its draw stream depends only
-// on its own planning events — never on tick interleaving across
-// worker goroutines. Under the sharded tick engine constituents step
-// in parallel with a nil engine RNG; the per-constituent stream is
-// what keeps planner output byte-identical for any worker count.
+// on its own planning events — never on what other constituents or
+// the engine drew before it.
 package traj
 
 import (

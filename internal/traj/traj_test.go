@@ -79,9 +79,8 @@ func sameCandidates(a, b []Candidate) bool {
 
 // Two planners with the same seed must produce byte-identical candidate
 // sets call after call — and the non-sampling entry points (ScoreStop,
-// ScoreRemaining, HoldCandidates) must not advance the stream, or the
-// sharded engine's planner output would depend on how often staleness
-// checks run.
+// ScoreRemaining, HoldCandidates) must not advance the stream, or
+// planner output would depend on how often staleness checks run.
 func TestCandidateStreamDeterminism(t *testing.T) {
 	w := testWorld(t)
 	req := testRequest(w)

@@ -50,9 +50,7 @@ func (w *World) Restore(s Snapshot) {
 	}
 	w.Weather = s.weather
 	w.graph.restoreBlocked(s.blockedNode, s.blockedEdge)
-	w.occupiedMu.Lock()
 	clear(w.occupied)
-	w.occupiedMu.Unlock()
 }
 
 // restoreBlocked rewinds the blocked-node/edge sets to the snapshot.

@@ -8,7 +8,6 @@ package world
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"coopmrm/internal/geom"
 )
@@ -113,20 +112,11 @@ func (z Zone) Contains(p geom.Vec2) bool { return z.Area.Contains(p) }
 
 // World is the static environment plus the weather process state.
 type World struct {
-	zones map[string]Zone
-	order []string // zone IDs in insertion order for determinism
-	graph *RouteGraph
-	// occupiedMu guards the occupancy counters: constituents register
-	// and release stops from worker goroutines under the sharded tick
-	// loop. Increments and decrements commute, so the counts are
-	// schedule-independent; same-tick capacity *reads* against
-	// capacity-limited zones are the one ordering the sharded loop
-	// cannot reproduce (see DESIGN.md §8) — the quarry scenarios use
-	// unlimited-capacity zones, where occupancy never affects
-	// behaviour.
-	occupiedMu sync.Mutex
-	occupied   map[string]int // stopped constituents per zone
-	Weather    Weather
+	zones    map[string]Zone
+	order    []string // zone IDs in insertion order for determinism
+	graph    *RouteGraph
+	occupied map[string]int // stopped constituents per zone
+	Weather  Weather
 }
 
 // New returns an empty world with clear weather and an empty graph.
@@ -268,8 +258,6 @@ func (w *World) HasCapacity(zoneID string) bool {
 	if z.Capacity <= 0 {
 		return true
 	}
-	w.occupiedMu.Lock()
-	defer w.occupiedMu.Unlock()
 	return w.occupied[zoneID] < z.Capacity
 }
 
@@ -277,26 +265,20 @@ func (w *World) HasCapacity(zoneID string) bool {
 // reached there).
 func (w *World) RegisterStop(zoneID string) {
 	if _, ok := w.zones[zoneID]; ok {
-		w.occupiedMu.Lock()
 		w.occupied[zoneID]++
-		w.occupiedMu.Unlock()
 	}
 }
 
 // ReleaseStop records a stopped constituent leaving the zone
 // (recovery).
 func (w *World) ReleaseStop(zoneID string) {
-	w.occupiedMu.Lock()
 	if w.occupied[zoneID] > 0 {
 		w.occupied[zoneID]--
 	}
-	w.occupiedMu.Unlock()
 }
 
 // Occupancy returns the number of registered stops in the zone.
 func (w *World) Occupancy(zoneID string) int {
-	w.occupiedMu.Lock()
-	defer w.occupiedMu.Unlock()
 	return w.occupied[zoneID]
 }
 

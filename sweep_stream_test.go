@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -335,7 +336,6 @@ func TestSweepStreamResumeValidation(t *testing.T) {
 	}{
 		{"different experiment", randomTableArm(1, 3, 3), Options{}, seeds},
 		{"different quick", e, Options{Quick: true}, seeds},
-		{"different shards", e, Options{Shards: 4}, seeds},
 		{"different seed count", e, Options{}, []int64{1, 2, 3}},
 		{"different seed list", e, Options{}, []int64{1, 2, 3, 5}},
 	}
@@ -534,5 +534,118 @@ func TestSweepStreamDrainCheckpointsFoldedState(t *testing.T) {
 	if resumed.Render() != uninterrupted.Render() {
 		t.Errorf("drained-and-resumed table differs from uninterrupted:\n%s\nvs\n%s",
 			resumed.Render(), uninterrupted.Render())
+	}
+}
+
+// parentCheckpoints are campaign/v1 checkpoints written before the
+// sharded tick engine was removed, by campaigns run with Shards: 4 on
+// seeds 1..4 and killed after the first checkpoint (2 seeds folded).
+// The "shards" field they carry is no longer part of the schema.
+var parentCheckpoints = map[string]string{
+	"E1": `{
+	"schema": "coopmrm/campaign/v1",
+	"experiment": "E1",
+	"quick": true,
+	"shards": 4,
+	"seeds": [1,2,3,4],
+	"completed": 2,
+	"title": "individual MRM/MRC hierarchy with mid-MRM fallback",
+	"paper": "Fig. 1a/1b",
+	"note": "primary trigger: snow exits the road ODD at t=30s; secondary: propulsion failure at the given offset after the MRM start",
+	"header": ["secondary_fault","final_MRC","mrm_switches","stop_risk","mrm_duration_s"],
+	"cells": [
+		[
+			{"n":2,"first":"none","all_same":true,"numeric":false,"all_pct":false,"mean":0,"m2":0,"distinct":["none"]},
+			{"n":2,"first":"rest_stop","all_same":true,"numeric":false,"all_pct":false,"mean":0,"m2":0,"distinct":["rest_stop"]},
+			{"n":2,"first":"0","all_same":true,"numeric":true,"all_pct":false,"mean":0,"m2":0,"distinct":["0"]},
+			{"n":2,"first":"0.19","all_same":true,"numeric":true,"all_pct":false,"mean":0.19,"m2":0,"distinct":["0.19"]},
+			{"n":2,"first":"93.7","all_same":false,"numeric":true,"all_pct":false,"mean":100.25,"m2":85.80499999999992,"distinct":["106.8","93.7"]}
+		],
+		[
+			{"n":2,"first":"t1+10s","all_same":true,"numeric":false,"all_pct":false,"mean":0,"m2":0,"distinct":["t1+10s"]},
+			{"n":2,"first":"shoulder","all_same":true,"numeric":false,"all_pct":false,"mean":0,"m2":0,"distinct":["shoulder"]},
+			{"n":2,"first":"1","all_same":true,"numeric":true,"all_pct":false,"mean":1,"m2":0,"distinct":["1"]},
+			{"n":2,"first":"0.49","all_same":true,"numeric":true,"all_pct":false,"mean":0.49,"m2":0,"distinct":["0.49"]},
+			{"n":2,"first":"36.4","all_same":false,"numeric":true,"all_pct":false,"mean":31.35,"m2":51.004999999999995,"distinct":["26.3","36.4"]}
+		]
+	]
+}`,
+	"E16": `{
+	"schema": "coopmrm/campaign/v1",
+	"experiment": "E16",
+	"quick": true,
+	"shards": 4,
+	"seeds": [1,2,3,4],
+	"completed": 2,
+	"title": "fleet-size scale sweep: cooperation payoff per deployment size",
+	"paper": "scale extension (deployment-level evaluation)",
+	"note": "truck1_1 is stranded blind mid-tunnel at t=0 and blocks the haul road; baseline trucks queue, status-sharing trucks reroute via alt",
+	"header": ["pairs","constituents","base_units_per_min","coop_units_per_min","gap_units_per_min","coop_near_misses"],
+	"cells": [
+		[
+			{"n":2,"first":"2","all_same":true,"numeric":true,"all_pct":false,"mean":2,"m2":0,"distinct":["2"]},
+			{"n":2,"first":"4","all_same":true,"numeric":true,"all_pct":false,"mean":4,"m2":0,"distinct":["4"]},
+			{"n":2,"first":"0.00","all_same":true,"numeric":true,"all_pct":false,"mean":0,"m2":0,"distinct":["0.00"]},
+			{"n":2,"first":"0.50","all_same":true,"numeric":true,"all_pct":false,"mean":0.5,"m2":0,"distinct":["0.50"]},
+			{"n":2,"first":"0.50","all_same":true,"numeric":true,"all_pct":false,"mean":0.5,"m2":0,"distinct":["0.50"]},
+			{"n":2,"first":"0","all_same":true,"numeric":true,"all_pct":false,"mean":0,"m2":0,"distinct":["0"]}
+		],
+		[
+			{"n":2,"first":"6","all_same":true,"numeric":true,"all_pct":false,"mean":6,"m2":0,"distinct":["6"]},
+			{"n":2,"first":"12","all_same":true,"numeric":true,"all_pct":false,"mean":12,"m2":0,"distinct":["12"]},
+			{"n":2,"first":"0.00","all_same":true,"numeric":true,"all_pct":false,"mean":0,"m2":0,"distinct":["0.00"]},
+			{"n":2,"first":"2.50","all_same":true,"numeric":true,"all_pct":false,"mean":2.5,"m2":0,"distinct":["2.50"]},
+			{"n":2,"first":"2.50","all_same":true,"numeric":true,"all_pct":false,"mean":2.5,"m2":0,"distinct":["2.50"]},
+			{"n":2,"first":"0","all_same":true,"numeric":true,"all_pct":false,"mean":0,"m2":0,"distinct":["0"]}
+		],
+		[
+			{"n":2,"first":"10","all_same":true,"numeric":true,"all_pct":false,"mean":10,"m2":0,"distinct":["10"]},
+			{"n":2,"first":"20","all_same":true,"numeric":true,"all_pct":false,"mean":20,"m2":0,"distinct":["20"]},
+			{"n":2,"first":"0.00","all_same":true,"numeric":true,"all_pct":false,"mean":0,"m2":0,"distinct":["0.00"]},
+			{"n":2,"first":"3.50","all_same":true,"numeric":true,"all_pct":false,"mean":3.5,"m2":0,"distinct":["3.50"]},
+			{"n":2,"first":"3.50","all_same":true,"numeric":true,"all_pct":false,"mean":3.5,"m2":0,"distinct":["3.50"]},
+			{"n":2,"first":"0","all_same":true,"numeric":true,"all_pct":false,"mean":0,"m2":0,"distinct":["0"]}
+		]
+	]
+}`,
+}
+
+// A campaign/v1 checkpoint written with a "shards" option still loads
+// and resumes: the sharded engine never changed output bytes, so the
+// resumed table must equal an uninterrupted run's.
+func TestSweepStreamResumesShardedCheckpoint(t *testing.T) {
+	seeds := []int64{1, 2, 3, 4}
+	opt := Options{Quick: true}
+	for id, data := range parentCheckpoints {
+		t.Run(id, func(t *testing.T) {
+			e, ok := ExperimentByID(id)
+			if !ok {
+				t.Fatalf("%s missing", id)
+			}
+			uninterrupted, err := SweepSeedsStream(e, opt, seeds, 2, CampaignConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt := filepath.Join(t.TempDir(), "campaign.json")
+			if err := os.WriteFile(ckpt, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resumed, err := SweepSeedsStream(e, opt, seeds, 2, CampaignConfig{
+				Checkpoint: ckpt, Resume: true,
+				OnFold: func(done, total int) error {
+					if done <= 2 {
+						return fmt.Errorf("seed %d re-folded despite the checkpoint", done)
+					}
+					return nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed.Render() != uninterrupted.Render() {
+				t.Errorf("resumed table differs from uninterrupted:\n%s\nvs\n%s",
+					resumed.Render(), uninterrupted.Render())
+			}
+		})
 	}
 }

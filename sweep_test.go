@@ -164,32 +164,6 @@ func TestAggregateSeedTables(t *testing.T) {
 	}
 }
 
-// The sharded tick engine must be invisible in aggregated sweeps: a
-// seed sweep with every rig running on 4 shards renders the exact
-// table of the sequential sweep, on the E16 reroute experiment and on
-// the E17 chaos experiment (whose zero-chaos arm is the control).
-func TestSweepSeedsShardedMatchesSequential(t *testing.T) {
-	seeds := []int64{1, 2}
-	for _, id := range []string{"E16", "E17"} {
-		e, ok := ExperimentByID(id)
-		if !ok {
-			t.Fatalf("experiment %s missing", id)
-		}
-		seq, err := SweepSeeds(e, Options{Quick: true}, seeds, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shd, err := SweepSeeds(e, Options{Quick: true, Shards: 4}, seeds, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Render() != shd.Render() {
-			t.Errorf("%s sweep differs between shards=1 and shards=4:\n%s\nvs\n%s",
-				id, seq.Render(), shd.Render())
-		}
-	}
-}
-
 // A sweep must be reproducible and independent of the worker count.
 func TestSweepSeedsDeterministic(t *testing.T) {
 	e, _ := ExperimentByID("E1")
