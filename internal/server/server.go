@@ -419,7 +419,10 @@ func (s *Server) run(j *job) {
 // finish writes the completed job's artifacts and publishes it to the
 // cache. WriteBundle is atomic and job.json's "done" transition is the
 // commit point, so a crash anywhere in here re-runs the job rather
-// than serving a torn result.
+// than serving a torn result. The in-memory "done" transition, the
+// run count and the cache size are published together under s.mu, so
+// no reader that takes s.mu (metrics, submit) sees a done job whose
+// runs or bytes are not yet counted.
 func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 	opt := j.spec.options()
 	bench := artifact.NewBench(s.cfg.Parallel, opt.Seed, jobTotal(j.spec), opt.Quick)
@@ -427,6 +430,8 @@ func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 	if err := coopmrm.WriteRunArtifacts(outDir, []coopmrm.ExperimentArtifacts{res}, bench); err != nil {
 		return err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	j.mu.Lock()
 	j.status = stateDone
 	j.done = j.total
@@ -436,11 +441,9 @@ func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 		return err
 	}
 	s.runsDone.Add(int64(jobTotal(j.spec)))
-	s.mu.Lock()
 	j.size = dirSize(s.jobDir(j.key))
 	s.touchLocked(j)
 	s.evictLocked()
-	s.mu.Unlock()
 	return nil
 }
 
