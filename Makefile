@@ -110,8 +110,11 @@ memprofile-campaign:
 # tick) and the per-layer tick costs (planner ScoreStop at campaign
 # and fleet size and Plan, the drifting broad-phase grid cycle, a
 # 400-endpoint network beacon round, sensor DetectInto, obstacle
-# monitor Apply).
+# monitor Apply, metrics Collector.Sample on the campaign-size E19 rig
+# and a 200-pair quarry, a steady coordinated-member Step, and the
+# per-probe HasZoneKindAt zone test).
 microbench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) test -bench=. -benchmem ./internal/runner ./internal/comm ./internal/sim \
-		./internal/traj ./internal/geom ./internal/sensor ./internal/agent
+		./internal/traj ./internal/geom ./internal/sensor ./internal/agent \
+		./internal/metrics ./internal/collab ./internal/world

@@ -1,6 +1,8 @@
 package collab
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -31,7 +33,7 @@ type quarry struct {
 	model  *core.DependencyModel
 }
 
-func newQuarry(t *testing.T, nTrucks int) *quarry {
+func newQuarry(t testing.TB, nTrucks int) *quarry {
 	t.Helper()
 	w := world.New()
 	g := w.Graph()
@@ -157,6 +159,44 @@ func TestCoordinatedGlobalMRCOnDiggerLoss(t *testing.T) {
 	}
 	if _, ok := q.e.Env().Log.First(sim.EventMRCGlobal); !ok {
 		t.Error("global MRC event missing")
+	}
+}
+
+// A member resolves its scope only when its failed set changes. After
+// every tick, each operational member's memoized decision must equal a
+// fresh resolution of its current failed set, and the digger's member
+// must have re-resolved as the trucks fail one by one.
+func TestCoordinatedScopeMemoFollowsFailedSet(t *testing.T) {
+	q := newQuarry(t, 3)
+	var members []*Coordinated
+	for _, h := range append([]*agent.HaulAgent{q.dHaul}, q.hauls...) {
+		m := NewCoordinated(newWorldBase(q, h), q.model)
+		q.e.MustRegister(m)
+		members = append(members, m)
+	}
+	var seen []string // the digger member's distinct affected sets, in order
+	for tick := 1; tick <= 600; tick++ {
+		switch tick {
+		case 100, 200:
+			i := tick/100 - 1
+			q.trucks[i].ApplyFault(blind(q.trucks[i].ID()))
+		}
+		q.e.RunTick()
+		for _, m := range members {
+			if m.stale || !m.base.C().Operational() {
+				continue
+			}
+			if want := q.model.ResolveScope(m.FailedSet()...); !reflect.DeepEqual(m.dec, want) {
+				t.Fatalf("tick %d: %s holds %+v for failed set %v, want %+v",
+					tick, m.ID(), m.dec, m.FailedSet(), want)
+			}
+		}
+		if got := strings.Join(members[0].dec.Affected, ","); len(seen) == 0 || seen[len(seen)-1] != got {
+			seen = append(seen, got)
+		}
+	}
+	if want := []string{"", "truck1", "truck1,truck2"}; !slices.Equal(seen, want) {
+		t.Errorf("digger member's affected sets = %q, want %q", seen, want)
 	}
 }
 

@@ -18,7 +18,7 @@
 package collab
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"coopmrm/internal/comm"
@@ -40,7 +40,14 @@ type Coordinated struct {
 	// park-and-stop.
 	ParkMRC string
 
-	failed map[string]bool
+	// down is the sorted set of members this one believes are in MRC,
+	// kept in place as beacons and its own state arrive. dec is the
+	// scope decision resolved for it; stale marks that down changed
+	// since, so the decision is resolved again only when the set
+	// differs. The model is fixed once the member steps.
+	down  []string
+	dec   core.ScopeDecision
+	stale bool
 }
 
 var _ sim.Entity = (*Coordinated)(nil)
@@ -51,7 +58,7 @@ func NewCoordinated(base *coop.Base, model *core.DependencyModel) *Coordinated {
 		base:    base,
 		Model:   model,
 		ParkMRC: "parking",
-		failed:  make(map[string]bool),
+		stale:   true,
 	}
 }
 
@@ -63,14 +70,20 @@ func (p *Coordinated) Base() *coop.Base { return p.base }
 
 // FailedSet returns the sorted IDs this member believes are in MRC.
 func (p *Coordinated) FailedSet() []string {
-	out := make([]string, 0, len(p.failed))
-	for id, down := range p.failed {
-		if down {
-			out = append(out, id)
-		}
+	return append(make([]string, 0, len(p.down)), p.down...)
+}
+
+// mark records whether id is in MRC.
+func (p *Coordinated) mark(id string, down bool) {
+	i, found := slices.BinarySearch(p.down, id)
+	switch {
+	case down && !found:
+		p.down = slices.Insert(p.down, i, id)
+		p.stale = true
+	case !down && found:
+		p.down = slices.Delete(p.down, i, i+1)
+		p.stale = true
 	}
-	sort.Strings(out)
-	return out
 }
 
 // Step implements sim.Entity.
@@ -81,13 +94,18 @@ func (p *Coordinated) Step(env *sim.Env) {
 			continue
 		}
 		p.base.HandleStatus(m)
-		p.failed[m.From] = m.Get(comm.KeyMode) == "mrc" || m.Get(comm.KeyMode) == "mrm"
+		mode := m.Get(comm.KeyMode)
+		p.mark(m.From, mode == "mrc" || mode == "mrm")
 	}
 	// Own state counts too (a member knows its own MRC without comms).
-	p.failed[c.ID()] = !c.Operational()
+	p.mark(c.ID(), !c.Operational())
 
 	if c.Operational() {
-		dec := p.Model.ResolveScope(p.FailedSet()...)
+		if p.stale {
+			p.dec = p.Model.ResolveScope(p.down...)
+			p.stale = false
+		}
+		dec := p.dec
 		switch {
 		case dec.Level == core.ScopeGlobal:
 			env.EmitFields(sim.EventMRCGlobal, c.ID(), "coordinated global MRC: parking",

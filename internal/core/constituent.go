@@ -37,17 +37,18 @@ const (
 	ModeMRC
 )
 
-var modeNames = map[Mode]string{
-	ModeNominal:  "nominal",
-	ModeDegraded: "degraded",
-	ModeMRM:      "mrm",
-	ModeMRC:      "mrc",
-}
-
-// String implements fmt.Stringer.
+// String implements fmt.Stringer. Probes sample it for every
+// constituent every tick, so it is a switch rather than a map lookup.
 func (m Mode) String() string {
-	if s, ok := modeNames[m]; ok {
-		return s
+	switch m {
+	case ModeNominal:
+		return "nominal"
+	case ModeDegraded:
+		return "degraded"
+	case ModeMRM:
+		return "mrm"
+	case ModeMRC:
+		return "mrc"
 	}
 	return fmt.Sprintf("mode(%d)", int(m))
 }

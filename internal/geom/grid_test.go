@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -128,9 +129,7 @@ func driftOffsets(n int) []Vec2 {
 }
 
 // A reused grid must answer exactly like a freshly built one while its
-// site cloud drifts across thousands of distinct cells, and must not
-// keep the cells it left behind: the index holds the occupied cells
-// only, so Reset and the pair passes stay O(occupied cells).
+// site cloud drifts across thousands of distinct cells.
 func TestGridReuseWhileDrifting(t *testing.T) {
 	offsets := driftOffsets(150)
 	g := NewGrid(5)
@@ -146,12 +145,8 @@ func TestGridReuseWhileDrifting(t *testing.T) {
 			t.Fatalf("cycle %d: reused grid gave %d pairs, fresh grid %d",
 				cycle, len(seq), len(want))
 		}
-		if len(g.cells) != len(g.occupied) || len(g.occupied) != len(fresh.occupied) {
-			t.Fatalf("cycle %d: index holds %d cells, %d occupied (fresh %d)",
-				cycle, len(g.cells), len(g.occupied), len(fresh.occupied))
-		}
-		for _, k := range g.occupied {
-			visited[k] = true
+		for _, s := range g.sites {
+			visited[s.key] = true
 		}
 	}
 	if len(visited) < 2000 {
@@ -168,6 +163,105 @@ func TestGridReuseWhileDrifting(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady drifting cycle allocates %.0f times, want 0", allocs)
+	}
+}
+
+// bruteCandidates is the reference broad phase: every pair of
+// inserted sites whose cells are equal or adjacent (Chebyshev distance
+// at most 1), as orderPair of their handles, sorted. Sites are indexed
+// by insertion, so a handle inserted twice pairs with itself and with
+// each neighbour once per copy.
+func bruteCandidates(handles []int, pts []Vec2, cell float64) [][2]int {
+	var out [][2]int
+	for i := range pts {
+		xi, yi := CellOf(pts[i], cell)
+		for j := i + 1; j < len(pts); j++ {
+			xj, yj := CellOf(pts[j], cell)
+			if abs(xi-xj) <= 1 && abs(yi-yj) <= 1 {
+				out = append(out, orderPair(handles[i], handles[j]))
+			}
+		}
+	}
+	sortPairs(out)
+	return out
+}
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}
+
+// The grid is checked against the all-pairs reference on random
+// clouds: clustered and spread layouts, negative coordinates, cell
+// sizes small and large against the cloud, and handles drawn with
+// repeats so some are inserted twice.
+func TestGridMatchesBruteReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g := NewGrid(1)
+	var got [][2]int
+	for trial := 0; trial < 400; trial++ {
+		cell := 0.5 + 20*rng.Float64()
+		spread := []float64{5, 40, 400}[trial%3]
+		n := rng.Intn(60)
+		handles := make([]int, n)
+		pts := make([]Vec2, n)
+		dup := false
+		g.Reset(cell)
+		for i := range pts {
+			handles[i] = i
+			if i > 0 && rng.Intn(8) == 0 {
+				handles[i], dup = handles[rng.Intn(i)], true
+			}
+			pts[i] = V(rng.Float64()*spread-spread/2, rng.Float64()*spread-spread/2)
+			g.Insert(handles[i], pts[i])
+		}
+		got = g.CandidatePairs(got[:0])
+		if want := bruteCandidates(handles, pts, cell); !slices.Equal(got, want) {
+			i := 0
+			for i < len(got) && i < len(want) && got[i] == want[i] {
+				i++
+			}
+			t.Fatalf("trial %d: grid gave %d pairs, reference %d; first difference at %d",
+				trial, len(got), len(want), i)
+		}
+		set := pairSet(got)
+		for i := range pts {
+			for j := i + 1; j < n; j++ {
+				if d := pts[i].Dist(pts[j]); d < cell && !set[orderPair(handles[i], handles[j])] {
+					t.Fatalf("trial %d: pair (%d,%d) at %.3f < cell %.3f missed",
+						trial, handles[i], handles[j], d, cell)
+				}
+			}
+		}
+		if dup {
+			continue
+		}
+		// Distinct handles (handle i sits at pts[i]): the output is
+		// strictly increasing (sorted, no repeats), each pair is
+		// ordered, and none is too far apart.
+		for i, p := range got {
+			if p[0] >= p[1] || (i > 0 && ComparePairs(got[i-1], p) >= 0) {
+				t.Fatalf("trial %d: pairs not strictly increasing at %d: %v", trial, i, got)
+			}
+			if d := pts[p[0]].Dist(pts[p[1]]); d > 2*math.Sqrt2*cell {
+				t.Fatalf("trial %d: pair %v at %.3f reported for cell %.3f", trial, p, d, cell)
+			}
+		}
+	}
+}
+
+// A handle inserted twice is indexed twice: it pairs with itself, and
+// with a neighbour once per copy, exactly as the reference does.
+func TestGridDuplicateHandle(t *testing.T) {
+	g := NewGrid(1)
+	g.Insert(4, V(0.1, 0.1))
+	g.Insert(2, V(0.2, 0.2))
+	g.Insert(4, V(0.3, 0.3))
+	want := [][2]int{{2, 4}, {2, 4}, {4, 4}}
+	if got := g.CandidatePairs(nil); !slices.Equal(got, want) {
+		t.Errorf("pairs = %v, want %v", got, want)
 	}
 }
 

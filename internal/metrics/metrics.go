@@ -10,6 +10,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -20,6 +21,8 @@ import (
 
 // Probe exposes the observable state of one constituent.
 type Probe struct {
+	// ID names the constituent; it must be unique among a collector's
+	// probes, since Report keys ModeShare by it.
 	ID string
 	// Footprint returns the current collision footprint.
 	Footprint func() geom.OrientedBox
@@ -94,8 +97,8 @@ type Collector struct {
 	minSep        float64
 	sepSeen       bool
 	pairSeen      bool
-	modeTime      map[string]map[string]time.Duration // id -> mode -> time
-	stoppedLane   map[string]time.Duration
+	modeTime      [][]modeTally // by probe index
+	stoppedLane   []time.Duration
 	inContact     map[[2]int]bool // latched pairs, by probe index
 	inNear        map[[2]int]bool
 	duration      time.Duration
@@ -103,15 +106,22 @@ type Collector struct {
 
 	// Per-tick scratch state, reused across samples: the footprint
 	// cache (each probe's Footprint() runs exactly once per tick), the
-	// cached risk relevance, the broad-phase grid and its pair buffer,
-	// and the set of pairs scored this tick (for latch maintenance of
-	// pairs the broad-phase skipped).
+	// cached risk relevance, and the broad-phase grid and its sorted
+	// pair buffer, which is also the set of pairs scored this tick (for
+	// latch maintenance of pairs the broad phase skipped).
 	boxes    []geom.OrientedBox
 	halfDiag []float64
 	relevant []bool
 	grid     *geom.Grid
 	pairBuf  [][2]int
-	scored   map[[2]int]bool
+}
+
+// modeTally is the time one probe has spent in one mode. A probe
+// visits a handful of modes per run, so scanning a short slice by
+// label is cheaper than hashing the label every tick.
+type modeTally struct {
+	mode string
+	d    time.Duration
 }
 
 // NewCollector returns a collector over the given probes.
@@ -119,17 +129,13 @@ func NewCollector(probes ...Probe) *Collector {
 	c := &Collector{
 		probes:       probes,
 		NearMissDist: 1.0,
-		modeTime:     make(map[string]map[string]time.Duration),
-		stoppedLane:  make(map[string]time.Duration),
+		modeTime:     make([][]modeTally, len(probes)),
+		stoppedLane:  make([]time.Duration, len(probes)),
 		inContact:    make(map[[2]int]bool),
 		inNear:       make(map[[2]int]bool),
 		boxes:        make([]geom.OrientedBox, len(probes)),
 		halfDiag:     make([]float64, len(probes)),
 		relevant:     make([]bool, len(probes)),
-		scored:       make(map[[2]int]bool),
-	}
-	for _, p := range probes {
-		c.modeTime[p.ID] = make(map[string]time.Duration)
 	}
 	return c
 }
@@ -154,13 +160,12 @@ func (c *Collector) Reinit() {
 	c.minSep = 0
 	c.sepSeen = false
 	c.pairSeen = false
-	for _, m := range c.modeTime {
-		clear(m)
+	for i := range c.modeTime {
+		c.modeTime[i] = c.modeTime[i][:0]
 	}
 	clear(c.stoppedLane)
 	clear(c.inContact)
 	clear(c.inNear)
-	clear(c.scored)
 	c.duration = 0
 	c.interventions = nil
 }
@@ -198,9 +203,9 @@ func (c *Collector) Sample(env *sim.Env) {
 	anyRelevant := false
 	for i, p := range c.probes {
 		mode := p.Mode()
-		c.modeTime[p.ID][mode] += dt
+		c.addModeTime(i, mode, dt)
 		if (mode == "mrc" || mode == "mrm") && p.InActiveLane != nil && p.InActiveLane() {
-			c.stoppedLane[p.ID] += dt
+			c.stoppedLane[i] += dt
 		}
 		if mode == "mrc" && p.StopRisk != nil {
 			c.riskExposure += p.StopRisk() * dt.Seconds()
@@ -233,6 +238,18 @@ func (c *Collector) Sample(env *sim.Env) {
 	} else {
 		c.sampleIndexed(env)
 	}
+}
+
+// addModeTime adds dt to probe i's time in mode.
+func (c *Collector) addModeTime(i int, mode string, dt time.Duration) {
+	t := c.modeTime[i]
+	for k := range t {
+		if t[k].mode == mode {
+			t[k].d += dt
+			return
+		}
+	}
+	c.modeTime[i] = append(t, modeTally{mode, dt})
 }
 
 // sampleBrute scores every pair — the O(n²) oracle path.
@@ -268,10 +285,8 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 		c.grid.Insert(i, c.boxes[i].Center)
 	}
 	c.pairBuf = c.grid.CandidatePairs(c.pairBuf[:0])
-	clear(c.scored)
 	for _, pr := range c.pairBuf {
 		c.scorePair(env, pr[0], pr[1])
-		c.scored[pr] = true
 	}
 	// Latch maintenance for pairs the broad-phase skipped: they are
 	// guaranteed farther apart than NearMissDist, so the brute pass
@@ -282,14 +297,25 @@ func (c *Collector) sampleIndexed(env *sim.Env) {
 }
 
 func (c *Collector) releaseSkippedLatches(latch map[[2]int]bool) {
+	if len(latch) == 0 {
+		return // the common tick; ranging even an empty map costs an iterator
+	}
 	for key, on := range latch {
-		if !on || c.scored[key] {
+		if !on || c.scoredThisTick(key) {
 			continue
 		}
 		if c.relevant[key[0]] || c.relevant[key[1]] {
 			delete(latch, key)
 		}
 	}
+}
+
+// scoredThisTick reports whether the broad phase handed key to the
+// narrow phase this tick: pairBuf is sorted, so a binary search
+// answers it.
+func (c *Collector) scoredThisTick(key [2]int) bool {
+	_, found := slices.BinarySearchFunc(c.pairBuf, key, geom.ComparePairs)
+	return found
 }
 
 // scorePair runs the narrow phase for one pair against the per-tick
@@ -399,16 +425,16 @@ func (c *Collector) Report() Report {
 		r.Interventions = c.interventions()
 	}
 	var opSum, riskSum float64
-	for _, p := range c.probes {
+	for i, p := range c.probes {
 		share := make(map[string]float64)
-		for mode, d := range c.modeTime[p.ID] {
+		for _, t := range c.modeTime[i] {
 			if c.duration > 0 {
-				share[mode] = d.Seconds() / c.duration.Seconds()
+				share[t.mode] = t.d.Seconds() / c.duration.Seconds()
 			}
 		}
 		r.ModeShare[p.ID] = share
 		opSum += share["nominal"] + share["degraded"]
-		r.StoppedInLane += c.stoppedLane[p.ID]
+		r.StoppedInLane += c.stoppedLane[i]
 		if p.TransitionRisk != nil {
 			sum, max, n := p.TransitionRisk()
 			riskSum += sum

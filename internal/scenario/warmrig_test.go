@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"coopmrm/internal/collab"
 	"coopmrm/internal/comm"
 	"coopmrm/internal/fault"
 	"coopmrm/internal/sim"
@@ -134,6 +135,44 @@ func TestWarmRigQuarryResetMatchesFresh(t *testing.T) {
 				t.Errorf("second reset(11) diverged from fresh seed-11 run (%d vs %d bytes)", len(got), len(want11))
 			}
 		})
+	}
+}
+
+// A coordinated member memoizes its scope decision against its failed
+// set. A warm Reset must hand the next seed members that hold neither
+// the previous seed's failed set nor its decision: the members are
+// rebuilt, so every one starts with an empty failed set.
+func TestWarmRigCoordinatedMembersStartClean(t *testing.T) {
+	cfg := quarryWarmCases()["coordinated"].cfg
+	cfg.Seed = 11
+	warm, err := NewQuarry(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := func() []*collab.Coordinated {
+		var out []*collab.Coordinated
+		for _, p := range warm.Policies {
+			if m, ok := p.(*collab.Coordinated); ok {
+				out = append(out, m)
+			}
+		}
+		return out
+	}
+	warm.Run(45 * time.Second)
+	failed := 0
+	for _, m := range members() {
+		failed += len(m.FailedSet())
+	}
+	if failed == 0 {
+		t.Fatal("no member saw a failure — the check has no power")
+	}
+	if err := warm.Reset(7); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range members() {
+		if fs := m.FailedSet(); len(fs) != 0 {
+			t.Errorf("%s starts seed 7 believing %v failed", m.ID(), fs)
+		}
 	}
 }
 

@@ -30,8 +30,11 @@ func (s *Sensor) Health() float64 { return s.health }
 
 // Suite is a set of sensors belonging to one constituent.
 type Suite struct {
-	sensors map[string]*Sensor
-	order   []string
+	// sensors holds the sensors in definition order, which the range
+	// scans walk; byName maps a name to its index there, for lookup by
+	// name only.
+	sensors []Sensor
+	byName  map[string]int
 	// weatherFactor is the current environmental attenuation in (0,1].
 	weatherFactor float64
 }
@@ -58,19 +61,8 @@ func Validate(sensors ...Sensor) error {
 // duplicated name wins) — prefer NewSuiteStrict, which surfaces the
 // mistake instead of hiding it.
 func NewSuite(sensors ...Sensor) *Suite {
-	st := &Suite{
-		sensors:       make(map[string]*Sensor, len(sensors)),
-		weatherFactor: 1,
-	}
-	for _, s := range sensors {
-		s := s
-		s.health = 1
-		if _, dup := st.sensors[s.Name]; dup {
-			continue
-		}
-		st.sensors[s.Name] = &s
-		st.order = append(st.order, s.Name)
-	}
+	st := &Suite{}
+	st.Reinit(sensors...)
 	return st
 }
 
@@ -87,39 +79,38 @@ func NewSuiteStrict(sensors ...Sensor) (*Suite, error) {
 // build — the warm-rig path reuses suite allocations across runs.
 // When the definitions match the suite's current sensors by name and
 // order (the steady state: a reused rig rebuilds the same fleet), the
-// existing map entries and order slice are reused; otherwise the
-// storage is rebuilt as NewSuite would.
+// name index is kept and the sensors are overwritten in place;
+// otherwise both are rebuilt as NewSuite would.
 func (st *Suite) Reinit(sensors ...Sensor) {
 	st.weatherFactor = 1
-	if len(sensors) == len(st.order) {
+	if len(sensors) == len(st.sensors) {
 		same := true
 		for i, s := range sensors {
-			if st.order[i] != s.Name {
+			if st.sensors[i].Name != s.Name {
 				same = false
 				break
 			}
 		}
 		if same {
-			for _, s := range sensors {
+			for i, s := range sensors {
 				s.health = 1
-				*st.sensors[s.Name] = s
+				st.sensors[i] = s
 			}
 			return
 		}
 	}
-	st.order = st.order[:0]
-	clear(st.sensors)
-	if st.sensors == nil {
-		st.sensors = make(map[string]*Sensor, len(sensors))
+	st.sensors = st.sensors[:0]
+	clear(st.byName)
+	if st.byName == nil {
+		st.byName = make(map[string]int, len(sensors))
 	}
 	for _, s := range sensors {
-		s := s
-		s.health = 1
-		if _, dup := st.sensors[s.Name]; dup {
+		if _, dup := st.byName[s.Name]; dup {
 			continue
 		}
-		st.sensors[s.Name] = &s
-		st.order = append(st.order, s.Name)
+		s.health = 1
+		st.byName[s.Name] = len(st.sensors)
+		st.sensors = append(st.sensors, s)
 	}
 }
 
@@ -153,8 +144,10 @@ func (st *Suite) ReinitStandard(nominalRange float64) {
 
 // Names returns the sensor names in definition order.
 func (st *Suite) Names() []string {
-	out := make([]string, len(st.order))
-	copy(out, st.order)
+	out := make([]string, len(st.sensors))
+	for i := range st.sensors {
+		out[i] = st.sensors[i].Name
+	}
 	return out
 }
 
@@ -175,11 +168,11 @@ func (st *Suite) Degrade(name string, health float64) error {
 func (st *Suite) Restore(name string) error { return st.setHealth(name, 1) }
 
 func (st *Suite) setHealth(name string, h float64) error {
-	s, ok := st.sensors[name]
+	i, ok := st.byName[name]
 	if !ok {
 		return fmt.Errorf("sensor: unknown sensor %q", name)
 	}
-	s.health = h
+	st.sensors[i].health = h
 	return nil
 }
 
@@ -187,8 +180,8 @@ func (st *Suite) setHealth(name string, h float64) error {
 // sensors, after health and weather attenuation.
 func (st *Suite) EffectiveRange() float64 {
 	best := 0.0
-	for _, name := range st.order {
-		s := st.sensors[name]
+	for i := range st.sensors {
+		s := &st.sensors[i]
 		r := s.NominalRange * s.health * st.weatherFactor
 		if r > best {
 			best = r
@@ -201,8 +194,8 @@ func (st *Suite) EffectiveRange() float64 {
 // only — the quantity that gates platoon-lead capability.
 func (st *Suite) FrontRange() float64 {
 	best := 0.0
-	for _, name := range st.order {
-		s := st.sensors[name]
+	for i := range st.sensors {
+		s := &st.sensors[i]
 		if !s.FrontFacing {
 			continue
 		}

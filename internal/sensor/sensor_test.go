@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"coopmrm/internal/geom"
@@ -139,6 +140,43 @@ func TestNewSuiteDuplicateNames(t *testing.T) {
 	}
 	if st.EffectiveRange() != 10 {
 		t.Errorf("first definition should win: %v", st.EffectiveRange())
+	}
+}
+
+// Reinit with definitions that differ from the suite's current sensors
+// rebuilds it as NewSuite would: ranges, health and name lookup follow
+// the new definitions, and the old names are gone.
+func TestSuiteReinitMismatchedDefinitions(t *testing.T) {
+	st := StandardSuite(100)
+	if err := st.Fail("long_range_radar"); err != nil {
+		t.Fatal(err)
+	}
+	defs := []Sensor{
+		{Name: "lidar", NominalRange: 70},
+		{Name: "radar", NominalRange: 90, FrontFacing: true},
+		{Name: "lidar", NominalRange: 500}, // dropped: first definition wins
+	}
+	st.Reinit(defs...)
+	fresh := NewSuite(defs...)
+	if got, want := st.EffectiveRange(), fresh.EffectiveRange(); got != want || got != 90 {
+		t.Errorf("EffectiveRange after Reinit = %v, fresh suite %v, want 90", got, want)
+	}
+	if got := st.Names(); !slices.Equal(got, []string{"lidar", "radar"}) {
+		t.Errorf("Names = %v", got)
+	}
+	if err := st.Fail("long_range_radar"); err == nil {
+		t.Error("a sensor of the old definitions is still known")
+	}
+	if err := st.Fail("radar"); err != nil {
+		t.Fatal(err)
+	}
+	if r, fr := st.EffectiveRange(), st.FrontRange(); r != 70 || fr != 0 {
+		t.Errorf("after radar fail: range %v, front %v, want 70, 0", r, fr)
+	}
+	// Same names again: the in-place path restores full health.
+	st.Reinit(defs[:2]...)
+	if r := st.EffectiveRange(); r != 90 {
+		t.Errorf("in-place Reinit range = %v, want 90", r)
 	}
 }
 

@@ -251,7 +251,7 @@ func (s *Server) recover() error {
 		s.mu.Lock()
 		s.jobs[r.j.key] = r.j
 		s.mu.Unlock()
-		if err := s.persist(r.j); err != nil {
+		if err := s.persist(r.j, r.j.status, r.j.errMsg); err != nil {
 			return err
 		}
 		s.spawn(r.j)
@@ -284,13 +284,13 @@ func (s *Server) submit(cj CanonicalJob, timeout time.Duration) (*job, string, e
 			return j, "coalesced", nil
 		default: // failed, or interrupted outside a drain: run again
 			s.misses.Add(1)
+			if err := s.persist(j, stateQueued, ""); err != nil {
+				return nil, "", err
+			}
 			j.mu.Lock()
 			j.status = stateQueued
 			j.errMsg = ""
 			j.mu.Unlock()
-			if err := s.persist(j); err != nil {
-				return nil, "", err
-			}
 			s.spawn(j)
 			return j, "requeued", nil
 		}
@@ -299,7 +299,7 @@ func (s *Server) submit(cj CanonicalJob, timeout time.Duration) (*job, string, e
 	if err := os.MkdirAll(s.jobDir(key), 0o755); err != nil {
 		return nil, "", err
 	}
-	if err := s.persist(j); err != nil {
+	if err := s.persist(j, j.status, j.errMsg); err != nil {
 		return nil, "", err
 	}
 	s.jobs[key] = j
@@ -419,10 +419,10 @@ func (s *Server) run(j *job) {
 // finish writes the completed job's artifacts and publishes it to the
 // cache. WriteBundle is atomic and job.json's "done" transition is the
 // commit point, so a crash anywhere in here re-runs the job rather
-// than serving a torn result. The in-memory "done" transition, the
-// run count and the cache size are published together under s.mu, so
-// no reader that takes s.mu (metrics, submit) sees a done job whose
-// runs or bytes are not yet counted.
+// than serving a torn result. Once job.json is written, the in-memory
+// "done" transition, the run count and the cache size are published
+// together under s.mu, so no reader that takes s.mu (metrics, submit)
+// sees a done job whose runs or bytes are not yet counted.
 func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 	opt := j.spec.options()
 	bench := artifact.NewBench(s.cfg.Parallel, opt.Seed, jobTotal(j.spec), opt.Quick)
@@ -432,14 +432,14 @@ func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if err := s.persist(j, stateDone, ""); err != nil {
+		return err
+	}
 	j.mu.Lock()
 	j.status = stateDone
 	j.done = j.total
 	j.errMsg = ""
 	j.mu.Unlock()
-	if err := s.persist(j); err != nil {
-		return err
-	}
 	s.runsDone.Add(int64(jobTotal(j.spec)))
 	j.size = dirSize(s.jobDir(j.key))
 	s.touchLocked(j)
@@ -447,26 +447,26 @@ func (s *Server) finish(j *job, res coopmrm.ExperimentArtifacts) error {
 	return nil
 }
 
-// setState transitions a job and persists the transition; persistence
-// failures are logged, not fatal — the in-memory state is primary
-// while this process lives, and a stale durable state only means a
-// re-run after restart.
+// setState persists a job transition, then publishes it in memory, so
+// a reader that sees the new state never races the job.json write
+// behind it. Persistence failures are logged, not fatal — the
+// in-memory state is primary while this process lives, and a stale
+// durable state only means a re-run after restart.
 func (s *Server) setState(j *job, st jobState, msg string) {
+	if err := s.persist(j, st, msg); err != nil {
+		log.Printf("server: persist %.12s: %v", j.key, err)
+	}
 	j.mu.Lock()
 	j.status = st
 	j.errMsg = msg
 	j.mu.Unlock()
-	if err := s.persist(j); err != nil {
-		log.Printf("server: persist %.12s: %v", j.key, err)
-	}
 }
 
-// persist writes job.json atomically (temp file + rename, the
-// WriteCampaign discipline).
-func (s *Server) persist(j *job) error {
-	j.mu.Lock()
-	jf := jobFile{Schema: SchemaJob, Key: j.key, Job: j.spec, Status: j.status, Error: j.errMsg}
-	j.mu.Unlock()
+// persist writes job.json with the given state atomically (temp file
+// + rename, the WriteCampaign discipline). Callers persist a
+// transition before publishing it in memory.
+func (s *Server) persist(j *job, st jobState, msg string) error {
+	jf := jobFile{Schema: SchemaJob, Key: j.key, Job: j.spec, Status: st, Error: msg}
 	data, err := json.MarshalIndent(jf, "", "  ")
 	if err != nil {
 		return fmt.Errorf("server: marshal job: %w", err)

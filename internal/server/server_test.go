@@ -246,6 +246,20 @@ func TestServerJobTimeout(t *testing.T) {
 	if !strings.Contains(st.Error, "timeout") {
 		t.Errorf("failure reason %q does not mention the timeout", st.Error)
 	}
+	// A transition is persisted before it is published: once a reader
+	// sees "failed", job.json already records it, so no write into the
+	// job's directory is left to race the test's TempDir cleanup.
+	data, err := os.ReadFile(filepath.Join(s.jobDir(doc.ID), "job.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jf jobFile
+	if err := json.Unmarshal(data, &jf); err != nil {
+		t.Fatal(err)
+	}
+	if jf.Status != stateFailed || jf.Error != st.Error {
+		t.Errorf("job.json records %q (%q) while the job reads failed", jf.Status, jf.Error)
+	}
 }
 
 func TestServerEviction(t *testing.T) {

@@ -3,6 +3,7 @@ package world
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -68,6 +69,48 @@ func TestWorldZones(t *testing.T) {
 	at := w.ZoneAt(geom.V(50, 2))
 	if len(at) != 1 || at[0].ID != "lane1" {
 		t.Errorf("ZoneAt = %+v", at)
+	}
+}
+
+// Zone queries answer in insertion order, not ID order, and a rejected
+// duplicate leaves the zone set and the by-ID lookup untouched.
+func TestWorldZoneQueriesKeepInsertionOrder(t *testing.T) {
+	w := New()
+	ids := []string{"zeta", "alpha", "mid", "beta"}
+	kinds := []ZoneKind{ZoneLane, ZoneParking, ZoneLane, ZoneShoulder}
+	for i, id := range ids {
+		// Nested rectangles: every zone contains the origin.
+		d := float64(10 * (i + 1))
+		w.MustAddZone(Zone{ID: id, Kind: kinds[i], Area: rect(-d, -d, d, d)})
+	}
+	if err := w.AddZone(Zone{ID: "mid", Kind: ZoneTunnel, Area: rect(-1, -1, 1, 1)}); err == nil {
+		t.Fatal("duplicate zone ID must error")
+	}
+	zoneIDs := func(zs []Zone) []string {
+		var out []string
+		for _, z := range zs {
+			out = append(out, z.ID)
+		}
+		return out
+	}
+	if got := zoneIDs(w.Zones()); !slices.Equal(got, ids) {
+		t.Errorf("Zones = %v, want %v", got, ids)
+	}
+	if got := zoneIDs(w.ZoneAt(geom.V(0, 0))); !slices.Equal(got, ids) {
+		t.Errorf("ZoneAt = %v, want %v", got, ids)
+	}
+	if got := zoneIDs(w.ZoneAt(geom.V(25, 0))); !slices.Equal(got, []string{"mid", "beta"}) {
+		t.Errorf("ZoneAt(25,0) = %v, want [mid beta]", got)
+	}
+	if got := zoneIDs(w.ZonesOfKind(ZoneLane)); !slices.Equal(got, []string{"zeta", "mid"}) {
+		t.Errorf("ZonesOfKind(lane) = %v, want [zeta mid]", got)
+	}
+	if z, ok := w.Zone("mid"); !ok || z.Kind != ZoneLane {
+		t.Errorf("Zone(mid) = %+v, %v; the duplicate must not replace it", z, ok)
+	}
+	if w.HasZoneKindAt(ZoneTunnel, geom.V(0, 0)) || !w.HasZoneKindAt(ZoneShoulder, geom.V(35, 0)) ||
+		w.HasZoneKindAt(ZoneParking, geom.V(25, 0)) {
+		t.Error("HasZoneKindAt disagrees with the zone set")
 	}
 }
 
