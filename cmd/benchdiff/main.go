@@ -39,12 +39,11 @@
 // in the serve rows, so it is compared through them instead of being
 // flagged for an "empty" experiment total.
 //
-// Beyond experiment walls the diff also gates throughput rows, where
-// higher is better and a *drop* beyond the threshold is the
-// regression: serve rows (jobs/sec, from coopmrmd -selfbench) and
-// campaign detail rows (seeds/sec, the E20 warm-rig claim). Rows
-// whose wall is under MinSeconds on either side are printed but never
-// gate, for the same noise-floor reason as experiments.
+// Beyond experiment walls the diff also gates the serve rows (jobs/sec,
+// from coopmrmd -selfbench), where higher is better and a *drop*
+// beyond the threshold is the regression. Rows whose wall is under
+// MinSeconds on either side are printed but never gate, for the same
+// noise-floor reason as experiments.
 package main
 
 import (
@@ -168,10 +167,7 @@ func diff(w io.Writer, old, new_ artifact.Bench, threshold float64) int {
 			fmt.Fprintf(w, "%-6s %12.4f %12s %12s %9s  (removed)\n", oe.ID, oe.WallSeconds, "-", "-", "-")
 		}
 	}
-	regressions += diffRates(w, "serve (jobs/sec; drop beyond threshold regresses)",
-		serveRates(old.Serve), serveRates(new_.Serve), threshold)
-	regressions += diffRates(w, "campaign (seeds/sec; drop beyond threshold regresses)",
-		campaignRates(old.Details), campaignRates(new_.Details), threshold)
+	regressions += diffServe(w, old.Serve, new_.Serve, threshold)
 	totalDelta := new_.WallSeconds - old.WallSeconds
 	totalFrac := 0.0
 	if old.WallSeconds > 0 {
@@ -199,72 +195,42 @@ func diff(w io.Writer, old, new_ artifact.Bench, threshold float64) int {
 	return 0
 }
 
-// rateRow is one higher-is-better throughput measurement: a serve
-// phase (jobs/sec) or a campaign detail (seeds/sec), with the wall
-// that produced it for noise-floor gating.
-type rateRow struct {
-	id   string
-	rate float64
-	wall float64
-}
-
-func serveRates(rows []artifact.ServeBench) []rateRow {
-	out := make([]rateRow, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, rateRow{id: r.ID, rate: r.JobsPerSec, wall: r.WallSeconds})
-	}
-	return out
-}
-
-// campaignRates keeps the details rows that carry a seed-cycling rate
-// (campaign arms, e.g. "E20/warm"); per-rig tick-throughput details
-// (E18) stay informational.
-func campaignRates(rows []artifact.BenchDetail) []rateRow {
-	var out []rateRow
-	for _, r := range rows {
-		if r.SeedsPerSec > 0 {
-			out = append(out, rateRow{id: r.ID, rate: r.SeedsPerSec, wall: r.WallSeconds})
-		}
-	}
-	return out
-}
-
-// diffRates renders a throughput section and counts its regressions: a
-// rate *drop* beyond the threshold fraction flags, walls under
-// MinSeconds on either side only print. Sections absent from both
-// reports render nothing.
-func diffRates(w io.Writer, title string, old, new_ []rateRow, threshold float64) int {
+// diffServe renders the serve section and counts its regressions: a
+// jobs/sec *drop* beyond the threshold fraction flags, walls under
+// MinSeconds on either side only print. Reports without serve rows
+// render nothing.
+func diffServe(w io.Writer, old, new_ []artifact.ServeBench, threshold float64) int {
 	if len(old) == 0 && len(new_) == 0 {
 		return 0
 	}
-	fmt.Fprintf(w, "%s\n", title)
-	oldBy := make(map[string]rateRow, len(old))
+	fmt.Fprintf(w, "serve (jobs/sec; drop beyond threshold regresses)\n")
+	oldBy := make(map[string]artifact.ServeBench, len(old))
 	for _, r := range old {
-		oldBy[r.id] = r
+		oldBy[r.ID] = r
 	}
 	regressions := 0
 	seen := make(map[string]bool, len(new_))
 	for _, nr := range new_ {
-		seen[nr.id] = true
-		or, ok := oldBy[nr.id]
+		seen[nr.ID] = true
+		or, ok := oldBy[nr.ID]
 		if !ok {
-			fmt.Fprintf(w, "%-24s %12s %12.1f %9s  (new measurement)\n", nr.id, "-", nr.rate, "-")
+			fmt.Fprintf(w, "%-24s %12s %12.1f %9s  (new measurement)\n", nr.ID, "-", nr.JobsPerSec, "-")
 			continue
 		}
 		frac := 0.0
-		if or.rate > 0 {
-			frac = (nr.rate - or.rate) / or.rate
+		if or.JobsPerSec > 0 {
+			frac = (nr.JobsPerSec - or.JobsPerSec) / or.JobsPerSec
 		}
 		marker := ""
-		if threshold > 0 && frac < -threshold && or.wall >= MinSeconds && nr.wall >= MinSeconds {
+		if threshold > 0 && frac < -threshold && or.WallSeconds >= MinSeconds && nr.WallSeconds >= MinSeconds {
 			marker = fmt.Sprintf("  REGRESSION (> %.0f%% slower)", threshold*100)
 			regressions++
 		}
-		fmt.Fprintf(w, "%-24s %12.1f %12.1f %+8.1f%%%s\n", nr.id, or.rate, nr.rate, frac*100, marker)
+		fmt.Fprintf(w, "%-24s %12.1f %12.1f %+8.1f%%%s\n", nr.ID, or.JobsPerSec, nr.JobsPerSec, frac*100, marker)
 	}
 	for _, or := range old {
-		if !seen[or.id] {
-			fmt.Fprintf(w, "%-24s %12.1f %12s %9s  (removed)\n", or.id, or.rate, "-", "-")
+		if !seen[or.ID] {
+			fmt.Fprintf(w, "%-24s %12.1f %12s %9s  (removed)\n", or.ID, or.JobsPerSec, "-", "-")
 		}
 	}
 	return regressions

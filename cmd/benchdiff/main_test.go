@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -255,43 +256,34 @@ func TestDiffServeOnlyZeroWallBaselinePasses(t *testing.T) {
 	}
 }
 
-// Campaign detail rows (seeds/sec) gate like serve rows: a throughput
-// drop beyond the threshold regresses, sub-noise-floor walls do not.
-func TestDiffCampaignSeedsPerSec(t *testing.T) {
-	mk := func(name string, warmRate float64) string {
-		b := artifact.NewBench(1, 1, 1, true)
-		b.Add("E20", 3*time.Second, 2, 2)
-		b.Details = []artifact.BenchDetail{
-			{ID: "E18/pairs=500", Ticks: 1000, WallSeconds: 1.0, TicksPerSec: 1000},
-			{ID: "E20/fresh", Seeds: 10000, WallSeconds: 2.0, SeedsPerSec: 5000},
-			{ID: "E20/warm", Seeds: 10000, WallSeconds: 1.0, SeedsPerSec: warmRate},
-		}
-		path := filepath.Join(t.TempDir(), name)
-		if err := artifact.WriteBench(path, b); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
-	old := mk("old.json", 12000)
-	ok_ := mk("ok.json", 11000)
-	var out bytes.Buffer
-	code, err := run([]string{"-threshold", "0.25", old, ok_}, &out)
-	if err != nil || code != 0 {
-		t.Fatalf("small seeds/sec wobble flagged: code = %d, err = %v\n%s", code, err, out.String())
-	}
-	if !strings.Contains(out.String(), "E20/warm") {
-		t.Errorf("output missing campaign rows:\n%s", out.String())
-	}
-	if strings.Contains(out.String(), "E18/pairs=500") {
-		t.Errorf("tick-throughput details must stay out of the campaign section:\n%s", out.String())
-	}
-
-	slow := mk("slow.json", 6000)
-	out.Reset()
-	if code, err = run([]string{"-threshold", "0.25", old, slow}, &out); err != nil {
+// A baseline written while E20 existed carries its experiment entry
+// and its seeds/sec detail rows. Diffed against a report without E20,
+// those fields are ignored, E20 prints as removed, and nothing gates.
+func TestDiffBaselineWithRetiredE20(t *testing.T) {
+	old := filepath.Join(t.TempDir(), "old.json")
+	oldJSON := `{
+  "schema": "coopmrm/bench/v1", "parallel": 1, "seed": 1, "seeds": 1, "quick": true,
+  "wall_seconds": 4.5,
+  "experiments": [
+    {"id": "E1", "wall_seconds": 1.0, "runs": 2, "rows": 2},
+    {"id": "E20", "wall_seconds": 3.5, "runs": 0, "rows": 2}
+  ],
+  "details": [
+    {"id": "E20/fresh", "entities": 4, "ticks": 20000, "wall_seconds": 1.7, "ticks_per_sec": 11700, "seeds": 10000, "seeds_per_sec": 5840},
+    {"id": "E20/warm", "entities": 4, "ticks": 20000, "wall_seconds": 0.6, "ticks_per_sec": 36000, "seeds": 10000, "seeds_per_sec": 18025}
+  ]
+}
+`
+	if err := os.WriteFile(old, []byte(oldJSON), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if code != 1 || !strings.Contains(out.String(), "REGRESSION (> 25% slower)") {
-		t.Errorf("50%% seeds/sec drop: code = %d, want 1 with slower marker\n%s", code, out.String())
+	new_ := writeBench(t, "new.json", map[string]float64{"E1": 1.0})
+	var out bytes.Buffer
+	code, err := run([]string{"-threshold", "0.25", old, new_}, &out)
+	if err != nil || code != 0 {
+		t.Fatalf("baseline with E20 against a report without it: code = %d, err = %v\n%s", code, err, out.String())
+	}
+	if !regexp.MustCompile(`(?m)^E20 .*\(removed\)$`).MatchString(out.String()) {
+		t.Errorf("E20 not reported as removed:\n%s", out.String())
 	}
 }

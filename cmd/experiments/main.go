@@ -1,10 +1,10 @@
 // Command experiments regenerates every table and figure of the paper
-// as simulation outputs (the E1..E20 index in DESIGN.md).
+// as simulation outputs (the E1..E19 index in DESIGN.md).
 //
 // Usage:
 //
 //	experiments [-run E3,E5] [-quick] [-seed 7] [-list]
-//	            [-parallel N] [-reuse-rigs]
+//	            [-parallel N]
 //	            [-seeds 1..32] [-format text|csv|markdown]
 //	            [-stream] [-checkpoint FILE] [-checkpoint-every N] [-resume]
 //	            [-out DIR] [-cpuprofile FILE] [-memprofile FILE] [-exectrace FILE]
@@ -69,7 +69,6 @@ func run(args []string, stdout io.Writer) error {
 	ablations := fs.Bool("ablations", false, "run the design ablations (A1..A5) instead of the experiments")
 	format := fs.String("format", "text", "output format: text | csv | markdown")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "worker pool size; 1 runs serially, output is identical either way")
-	reuseRigs := fs.Bool("reuse-rigs", false, "serve campaign rigs from the warm-rig pool (snapshot/reset) instead of constructing per seed; output is identical either way")
 	seeds := fs.String("seeds", "", `seed sweep: "1..32", "3,5,9", or "x8" (derived from -seed); aggregates per-seed tables`)
 	stream := fs.Bool("stream", false, "streaming seed-sweep campaign: fold per-seed tables online (memory independent of seed count); aggregated cells gain [n, 95% CI half-width]. Requires -seeds")
 	checkpoint := fs.String("checkpoint", "", "campaign/v1 checkpoint file for -stream: written atomically every -checkpoint-every seeds and at completion (single experiment only)")
@@ -130,7 +129,7 @@ func run(args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	opt := coopmrm.Options{Seed: *seed, Quick: *quick, ReuseRigs: *reuseRigs}
+	opt := coopmrm.Options{Seed: *seed, Quick: *quick}
 
 	var seedList []int64
 	if *seeds != "" {

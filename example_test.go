@@ -38,5 +38,5 @@ func ExampleExperimentByID() {
 func ExampleExperimentIDs() {
 	ids := coopmrm.ExperimentIDs()
 	fmt.Println(len(ids), ids[0], ids[len(ids)-1])
-	// Output: 20 E1 E20
+	// Output: 19 E1 E19
 }

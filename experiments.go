@@ -22,13 +22,6 @@ type Options struct {
 	// sequentially and runs parallelise across seeds instead. It
 	// remains only so existing callers compile.
 	Shards int
-	// ReuseRigs serves campaign rigs from the warm-rig pool: a parked
-	// rig is Reset to the requested seed instead of constructed from
-	// scratch (internal/scenario.AcquireQuarry). This is an
-	// operational knob — reset output is byte-identical to fresh
-	// construction (the warm-rig differentials), so tables, bundles
-	// and checkpoints do not depend on it; only wall time changes.
-	ReuseRigs bool
 }
 
 func (o Options) withDefaults() Options {
@@ -46,7 +39,7 @@ type Experiment struct {
 	Run   func(Options) Table
 }
 
-// AllExperiments returns the full E1..E20 index in order.
+// AllExperiments returns the full E1..E19 index in order.
 func AllExperiments() []Experiment {
 	return []Experiment{
 		{"E1", "Individual MRM/MRC hierarchy with mid-MRM fallback", "Fig. 1a/1b", RunE1},
@@ -68,7 +61,6 @@ func AllExperiments() []Experiment {
 		{"E17", "V2X chaos: partition duration x loss x reorder per class", "design: V2X robustness", RunE17},
 		{"E18", "Mega-fleet scale sweep, 50-2000 pairs", "scale extension (infrastructure-level fleets)", RunE18},
 		{"E19", "Transition risk per interaction class and fault mode", "planner extension (quantified Definition 3 risk)", RunE19},
-		{"E20", "Campaign throughput: warm-rig pool vs fresh construction", "perf extension (snapshot/reset rig reuse)", RunE20},
 	}
 }
 

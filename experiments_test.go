@@ -16,8 +16,8 @@ func quick() Options { return Options{Quick: true, Seed: 1} }
 
 func TestRegistry(t *testing.T) {
 	es := AllExperiments()
-	if len(es) != 20 {
-		t.Fatalf("experiments = %d, want 20", len(es))
+	if len(es) != 19 {
+		t.Fatalf("experiments = %d, want 19", len(es))
 	}
 	seen := map[string]bool{}
 	for _, e := range es {
@@ -35,7 +35,7 @@ func TestRegistry(t *testing.T) {
 	if _, ok := ExperimentByID("E99"); ok {
 		t.Error("unknown ID should fail")
 	}
-	if len(ExperimentIDs()) != 20 {
+	if len(ExperimentIDs()) != 19 {
 		t.Error("ExperimentIDs wrong")
 	}
 }

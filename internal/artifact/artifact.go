@@ -443,18 +443,13 @@ type BenchExperiment struct {
 // experiment: a single rig run with its tick throughput. E18's
 // per-size throughput lives here — the experiment *table* must stay
 // byte-deterministic, so anything derived from the wall clock is
-// reported through bench.json instead. The
-// campaign fields (Seeds, SeedsPerSec) carry the E20 warm-rig
-// throughput claim: a seed-sweep arm reports how many seeds it
-// cycled and its rig-cycling rate (a schema addition, not a break).
+// reported through bench.json instead.
 type BenchDetail struct {
 	ID          string  `json:"id"` // experiment / arm label, e.g. "E18/pairs=500"
 	Entities    int     `json:"entities"`
 	Ticks       int64   `json:"ticks"`
 	WallSeconds float64 `json:"wall_seconds"`
 	TicksPerSec float64 `json:"ticks_per_sec"`
-	Seeds       int     `json:"seeds,omitempty"`
-	SeedsPerSec float64 `json:"seeds_per_sec,omitempty"`
 }
 
 // ServeBench is one sustained-throughput measurement of the coopmrmd

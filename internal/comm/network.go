@@ -291,43 +291,6 @@ func NewNetwork(cfg NetConfig, rng *sim.RNG) *Network {
 	}
 }
 
-// Reset returns the network to its just-constructed state for a new
-// run under the given seed, retaining every backing allocation: the
-// transit heap array and its parcels (parked on the free list), the
-// per-endpoint inbox buffers (re-adopted slot by slot as the rig
-// re-registers its fleet), and the scratch lists. All registrations
-// are dropped — registration order drives broadcast fan-out order, so
-// the rig must re-register endpoints in exactly its construction order
-// for a reset network to be observationally identical to a fresh one
-// (the warm-rig differential tests prove it byte for byte). The RNG
-// reseeds in place to exactly the stream NewNetwork would have been
-// handed.
-func (n *Network) Reset(seed int64) {
-	n.rng.Reseed(seed)
-	n.seq = 0
-	n.now = 0
-	n.nowFn = nil
-	for _, p := range n.transit {
-		n.recycle(p)
-	}
-	clear(n.transit)
-	n.transit = n.transit[:0]
-	n.pending = 0
-	for i := range n.eps {
-		ep := &n.eps[i]
-		clear(ep.cur)
-		clear(ep.prev)
-		*ep = endpoint{cur: ep.cur[:0], prev: ep.prev[:0]}
-	}
-	n.eps = n.eps[:0]
-	clear(n.index)
-	clear(n.downNode)
-	clear(n.downLink)
-	n.sent = 0
-	n.dropped = 0
-	n.droppedBy = [numDropCauses]int64{}
-}
-
 // Register creates an inbox for the given ID. Duplicate registration
 // is an error.
 func (n *Network) Register(id string) error {
@@ -337,14 +300,8 @@ func (n *Network) Register(id string) error {
 	if _, dup := n.index[id]; dup {
 		return fmt.Errorf("comm: duplicate endpoint %q", id)
 	}
-	slot := int32(len(n.eps))
-	if len(n.eps) < cap(n.eps) {
-		n.eps = n.eps[:slot+1] // adopt the parked inbox buffers
-	} else {
-		n.eps = append(n.eps, endpoint{})
-	}
-	n.eps[slot].id = id
-	n.index[id] = slot
+	n.index[id] = int32(len(n.eps))
+	n.eps = append(n.eps, endpoint{id: id})
 	return nil
 }
 

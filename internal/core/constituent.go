@@ -120,13 +120,6 @@ type Constituent struct {
 	net     *comm.Network
 	dm      *DegradationManager
 
-	// ownSuite/ownHier record that Reinit built the component itself
-	// (the Config left it nil). Only self-built components may be
-	// reused in place on the next Reinit — a caller-provided suite or
-	// hierarchy is caller-owned and must never be overwritten.
-	ownSuite bool
-	ownHier  bool
-
 	mode     Mode
 	goal     string
 	userGoal string
@@ -219,54 +212,21 @@ var (
 // NewConstituent builds a constituent from cfg. A missing ID is an
 // error.
 func NewConstituent(cfg Config) (*Constituent, error) {
-	c := new(Constituent)
-	if err := c.Reinit(cfg); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// Reinit re-initialises the constituent in place for a new run — the
-// warm-rig path. Fresh construction routes through the same code
-// (NewConstituent is Reinit on a zero struct), so a reinitialised
-// constituent is identical to a fresh one by construction: the whole
-// struct is reassigned as one composite literal (any field not listed
-// is zeroed, so new fields can never leak across runs), and the
-// per-run components the shell built itself — planner, body, sensor
-// suite, ODD monitor, MRC hierarchy, degradation manager, fault map —
-// are reinitialised in place rather than reallocated, each through
-// the same assignment its fresh constructor runs.
-func (c *Constituent) Reinit(cfg Config) error {
 	if cfg.ID == "" {
-		return fmt.Errorf("core: constituent with empty ID")
+		return nil, fmt.Errorf("core: constituent with empty ID")
 	}
 	if cfg.Spec.Kind == 0 {
 		cfg.Spec = vehicle.DefaultSpec(vehicle.KindTruck)
 	}
-	suite, ownSuite := cfg.Suite, false
-	if suite == nil {
-		ownSuite = true
-		if c.ownSuite && c.suite != nil {
-			suite = c.suite
-			suite.ReinitStandard(cfg.Spec.SensorRange)
-		} else {
-			suite = sensor.StandardSuite(cfg.Spec.SensorRange)
-		}
+	if cfg.Suite == nil {
+		cfg.Suite = sensor.StandardSuite(cfg.Spec.SensorRange)
 	}
 	oddSpec := odd.DefaultSiteSpec()
 	if cfg.ODD != nil {
 		oddSpec = *cfg.ODD
 	}
-	hier, ownHier := cfg.Hierarchy, false
-	if hier == nil {
-		ownHier = true
-		if c.ownHier && c.hier != nil {
-			// A hierarchy is immutable once built, so the previous
-			// run's self-built default IS DefaultSiteHierarchy().
-			hier = c.hier
-		} else {
-			hier = DefaultSiteHierarchy()
-		}
+	if cfg.Hierarchy == nil {
+		cfg.Hierarchy = DefaultSiteHierarchy()
 	}
 	if cfg.Goal == "" {
 		cfg.Goal = "user_goal"
@@ -275,63 +235,30 @@ func (c *Constituent) Reinit(cfg Config) error {
 	if cfg.Planner != nil {
 		pcfg = *cfg.Planner
 	}
-	planner := c.planner
-	if planner == nil {
-		planner = traj.New(traj.Seed(cfg.Seed, cfg.ID), pcfg)
-	} else {
-		planner.Reinit(traj.Seed(cfg.Seed, cfg.ID), pcfg)
-	}
-	body := c.body
-	if body == nil {
-		body = vehicle.NewBody(cfg.Spec, cfg.Start)
-	} else {
-		body.Reinit(cfg.Spec, cfg.Start)
-	}
-	monitor := c.monitor
-	if monitor == nil {
-		monitor = odd.NewMonitor(oddSpec)
-	} else {
-		monitor.Reinit(oddSpec)
-	}
-	dm := c.dm
-	if dm == nil {
-		dm = NewDegradationManager(cfg.Spec)
-	} else {
-		dm.Reinit(cfg.Spec)
-	}
-	faults := c.activeFaults
-	if faults == nil {
-		faults = make(map[string]fault.Fault)
-	} else {
-		clear(faults)
-	}
-	*c = Constituent{
+	return &Constituent{
 		id:           cfg.ID,
-		body:         body,
-		suite:        suite,
-		monitor:      monitor,
-		hier:         hier,
+		body:         vehicle.NewBody(cfg.Spec, cfg.Start),
+		suite:        cfg.Suite,
+		monitor:      odd.NewMonitor(oddSpec),
+		hier:         cfg.Hierarchy,
 		world:        cfg.World,
 		net:          cfg.Net,
-		dm:           dm,
-		ownSuite:     ownSuite,
-		ownHier:      ownHier,
+		dm:           NewDegradationManager(cfg.Spec),
 		mode:         ModeNominal,
 		goal:         cfg.Goal,
 		userGoal:     cfg.Goal,
-		activeFaults: faults,
+		activeFaults: make(map[string]fault.Fault),
 		commUp:       true,
 		toolUp:       cfg.Spec.HasTool,
 		locUp:        true,
 		speedCap:     cfg.Spec.MaxSpeed,
 		assistCap:    -1,
-		planner:      planner,
+		planner:      traj.New(traj.Seed(cfg.Seed, cfg.ID), pcfg),
 		obstacles:    cfg.Obstacles,
 		ReplanEvery:  DefaultReplanEvery,
 		GateTimeout:  DefaultGateTimeout,
 		gatedSince:   -1,
-	}
-	return nil
+	}, nil
 }
 
 // MustConstituent is NewConstituent that panics on error.

@@ -74,15 +74,7 @@ type DegradationManager struct {
 // a vehicle must keep at least 1 m/s to remain useful and must be
 // able to stop within half its perception range.
 func NewDegradationManager(spec vehicle.Spec) *DegradationManager {
-	d := new(DegradationManager)
-	d.Reinit(spec)
-	return d
-}
-
-// Reinit resets the manager in place to NewDegradationManager(spec) —
-// the warm-rig path reuses manager allocations across runs.
-func (d *DegradationManager) Reinit(spec vehicle.Spec) {
-	*d = DegradationManager{
+	return &DegradationManager{
 		spec:                   spec,
 		MinOperatingSpeed:      1.0,
 		PerceptionSafetyFactor: 2.0,

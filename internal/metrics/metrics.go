@@ -140,46 +140,6 @@ func NewCollector(probes ...Probe) *Collector {
 	return c
 }
 
-// Reinit resets the collector in place to NewCollector over its
-// current probes — the warm-rig path reuses the collector, its probe
-// closures, and its latch and scratch storage across runs instead of
-// reallocating them per seed. The caller owns the precondition that
-// the probes still describe the new run's fleet (they do when the rig
-// re-adopts its constituent and body allocations in place; the rigs
-// check fleet identity before reusing). Behaviour after Reinit is
-// identical to a fresh collector's: every accumulator and latch is
-// cleared, and the per-tick scratch (footprint cache, relevance,
-// grid, pair buffer) is overwritten before it is read each Sample.
-func (c *Collector) Reinit() {
-	c.NearMissDist = 1.0
-	c.UseBruteForce = false
-	c.taskUnits = 0
-	c.riskExposure = 0
-	c.collisions = 0
-	c.nearMisses = 0
-	c.minSep = 0
-	c.sepSeen = false
-	c.pairSeen = false
-	for i := range c.modeTime {
-		c.modeTime[i] = c.modeTime[i][:0]
-	}
-	clear(c.stoppedLane)
-	clear(c.inContact)
-	clear(c.inNear)
-	c.duration = 0
-	c.interventions = nil
-}
-
-// ProbeIDs appends the collector's probe IDs, in probe order, to dst
-// — the warm-rig rigs use it to check that a parked collector's fleet
-// matches before reusing it.
-func (c *Collector) ProbeIDs(dst []string) []string {
-	for _, p := range c.probes {
-		dst = append(dst, p.ID)
-	}
-	return dst
-}
-
 // SetInterventionCounter wires a callback returning the cumulative
 // intervention count (queried at report time).
 func (c *Collector) SetInterventionCounter(f func() int) { c.interventions = f }

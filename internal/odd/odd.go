@@ -101,12 +101,6 @@ func NewMonitor(spec Spec) *Monitor {
 	return &Monitor{spec: spec, Margin: 0.2}
 }
 
-// Reinit resets the monitor in place to NewMonitor(spec) — the
-// warm-rig path reuses monitor allocations across runs.
-func (m *Monitor) Reinit(spec Spec) {
-	*m = Monitor{spec: spec, Margin: 0.2}
-}
-
 // Spec returns the monitored spec.
 func (m *Monitor) Spec() Spec { return m.spec }
 

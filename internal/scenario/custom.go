@@ -108,11 +108,6 @@ type CustomRig struct {
 
 	// view is the obstacle monitors' shared neighbour feed.
 	view fleetView
-
-	// Warm-rig lifecycle state (see QuarryRig).
-	cfg   FileConfig
-	wsnap world.Snapshot
-	prev  map[string]*core.Constituent
 }
 
 // Run executes the scenario for the horizon.
@@ -173,71 +168,8 @@ func Build(cfg FileConfig) (*CustomRig, error) {
 
 	engine := sim.NewEngine(sim.Config{Step: 100 * time.Millisecond, MaxTime: 24 * time.Hour, Seed: cfg.Seed})
 	net := comm.NewNetwork(comm.NetConfig{Latency: 50 * time.Millisecond}, sim.NewRNG(cfg.Seed))
-
 	rig := &CustomRig{Name: cfg.Name, Engine: engine, World: w, Net: net}
-	rig.Snapshot()
-	if err := rig.wire(cfg); err != nil {
-		return nil, err
-	}
-	return rig, nil
-}
 
-// Snapshot captures the seed-invariant world baseline Reset rewinds
-// to (see QuarryRig.Snapshot).
-func (r *CustomRig) Snapshot() { r.wsnap = r.World.Snapshot() }
-
-// Reset returns the rig to its just-constructed state under a new
-// seed; output is byte-identical to a freshly Built rig at that seed
-// (see QuarryRig.Reset). The weather schedule, if any, is rebuilt
-// from the FileConfig by wire, so it replays from t=0.
-func (r *CustomRig) Reset(seed int64) error {
-	cfg := r.cfg
-	cfg.Seed = seed
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-
-	if r.prev == nil {
-		r.prev = make(map[string]*core.Constituent, len(r.Constituents))
-	}
-	for _, c := range r.Constituents {
-		r.prev[c.ID()] = c
-	}
-
-	r.Engine.Reset(cfg.Seed)
-	r.Net.Reset(cfg.Seed)
-	r.World.Restore(r.wsnap)
-
-	clear(r.Constituents)
-	r.Constituents = r.Constituents[:0]
-	r.Hauls = nil
-	r.Model = nil
-	r.Collector = nil
-	r.Injector = nil
-
-	return r.wire(cfg)
-}
-
-// constituent re-adopts a parked shell by ID or builds a fresh one
-// (see QuarryRig.constituent; error-returning because Build is).
-func (r *CustomRig) constituent(cc core.Config) (*core.Constituent, error) {
-	if c := r.prev[cc.ID]; c != nil {
-		delete(r.prev, cc.ID)
-		if err := c.Reinit(cc); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	return core.NewConstituent(cc)
-}
-
-// wire performs every per-seed wiring step in fresh-construction
-// order; Reset replays it against rewound substrate.
-func (r *CustomRig) wire(cfg FileConfig) error {
-	engine, w, net := r.Engine, r.World, r.Net
-	g := w.Graph()
-	r.cfg = cfg
-	rig := r
 	engine.AddPreHook(net.Hook())
 	rig.Hauls = make(map[string]*agent.HaulAgent)
 	rig.Model = core.NewDependencyModel()
@@ -247,12 +179,12 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 	for _, vc := range cfg.Fleet {
 		kind, err := vehicle.ParseKind(vc.Kind)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := net.Register(vc.ID); err != nil {
-			return err
+			return nil, err
 		}
-		c, err := rig.constituent(core.Config{
+		c, err := core.NewConstituent(core.Config{
 			ID:        vc.ID,
 			Spec:      vehicle.DefaultSpec(kind),
 			Start:     geom.Pose{Pos: geom.V(vc.X, vc.Y)},
@@ -263,10 +195,10 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 			Obstacles: snap.obstaclesFor(vc.ID),
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if err := engine.Register(c); err != nil {
-			return err
+			return nil, err
 		}
 		rig.Constituents = append(rig.Constituents, c)
 		role := vc.Role
@@ -274,7 +206,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 			role = vc.Kind
 		}
 		if err := rig.Model.AddConstituent(vc.ID, role, vc.Requires...); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	snap.track(rig.Constituents)
@@ -319,7 +251,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 		}
 		h := agent.New(hc)
 		if err := engine.Register(h); err != nil {
-			return err
+			return nil, err
 		}
 		rig.Hauls[vc.ID] = h
 	}
@@ -336,23 +268,23 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 	case "status_sharing":
 		for _, vc := range cfg.Fleet {
 			if err := engine.Register(coop.NewStatusSharing(newBase(rig.Hauls[vc.ID]))); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	case "intent_sharing":
 		for _, vc := range cfg.Fleet {
 			if err := engine.Register(coop.NewIntentSharing(newBase(rig.Hauls[vc.ID]))); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	case "coordinated":
 		for _, vc := range cfg.Fleet {
 			if err := engine.Register(collab.NewCoordinated(newBase(rig.Hauls[vc.ID]), rig.Model)); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	default:
-		return fmt.Errorf("scenario: config policy %q not supported (use baseline, status_sharing, intent_sharing or coordinated)", cfg.Policy)
+		return nil, fmt.Errorf("scenario: config policy %q not supported (use baseline, status_sharing, intent_sharing or coordinated)", cfg.Policy)
 	}
 
 	// Weather script.
@@ -361,7 +293,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 		for _, wc := range cfg.Weather {
 			cond, err := world.ParseCondition(wc.Condition)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			changes = append(changes, world.WeatherChange{
 				At:           time.Duration(wc.AtSeconds * float64(time.Second)),
@@ -371,7 +303,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 		}
 		sched, err := world.NewWeatherSchedule(changes...)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		engine.AddPreHook(func(env *sim.Env) { sched.Apply(w, env.Clock.Now()) })
 	}
@@ -398,7 +330,7 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 	for i, fc := range cfg.Faults {
 		kind, err := fault.ParseKind(fc.Kind)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		sev := fc.Severity
 		if sev == 0 {
@@ -411,9 +343,9 @@ func (r *CustomRig) wire(cfg FileConfig) error {
 			ClearAt: time.Duration(fc.ClearAtSeconds * float64(time.Second)),
 		}
 		if err := rig.Injector.Schedule(f); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	engine.AddPreHook(rig.Injector.Hook())
-	return nil
+	return rig, nil
 }

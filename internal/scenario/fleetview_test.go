@@ -43,10 +43,9 @@ func checkFeeds(t *testing.T, rig *QuarryRig) *int64 {
 // view to the per-call rebuild it replaces: on a 20-pair
 // status-sharing quarry with a mid-run sensor fault (the faulted
 // truck's suite goes blind, so its monitor sees only itself), every
-// feed call must return exactly the live fleet positions — on a fresh
-// rig, and again on the same rig after a warm Reset. The subtest keeps
-// its "shards=1" name from when a sharded engine also existed; one
-// shard is the sequential engine, the only one there is.
+// feed call must return exactly the live fleet positions. The subtest
+// keeps its "shards=1" name from when a sharded engine also existed;
+// one shard is the sequential engine, the only one there is.
 func TestFleetViewMatchesLiveRebuild(t *testing.T) {
 	const horizon = 40 * time.Second
 	t.Run("shards=1", func(t *testing.T) {
@@ -63,14 +62,6 @@ func TestFleetViewMatchesLiveRebuild(t *testing.T) {
 		rig.Run(horizon)
 		if want := int64(len(rig.Hauls)) * int64(horizon/(100*time.Millisecond)); *calls < want/2 {
 			t.Fatalf("only %d feed calls checked (at most %d possible)", *calls, want)
-		}
-		if err := rig.Reset(cfg.Seed + 1); err != nil {
-			t.Fatal(err)
-		}
-		calls = checkFeeds(t, rig)
-		rig.Run(horizon)
-		if *calls == 0 {
-			t.Fatal("no feed call checked after the warm Reset")
 		}
 	})
 }

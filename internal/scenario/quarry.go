@@ -98,24 +98,6 @@ type QuarryRig struct {
 	allBuf []*core.Constituent
 	// view is the obstacle monitors' shared neighbour feed.
 	view fleetView
-
-	// Warm-rig lifecycle state: the configuration wire() replays on
-	// Reset, the world baseline Snapshot captured, the parked
-	// constituent shells a Reset re-adopts by ID, and the pool key a
-	// Release files the rig under (empty for unpooled rigs).
-	cfg     QuarryConfig
-	wsnap   world.Snapshot
-	prev    map[string]*core.Constituent
-	poolKey string
-
-	// Parked per-seed layer components a Reset reuses in place when
-	// the replayed wiring matches (same fleet, same policy shape) —
-	// see the reuse sites in wire() for the matching rules. idsBuf is
-	// scratch for the collector fleet check.
-	prevCollector *metrics.Collector
-	prevInjector  *fault.Injector
-	prevModel     *core.DependencyModel
-	idsBuf        []string
 }
 
 // All returns every constituent (diggers then trucks).
@@ -154,11 +136,11 @@ func (r *QuarryRig) Delivered() float64 {
 	return sum
 }
 
-// NewQuarry builds the quarry rig: the seed-invariant chassis — world
-// geometry, route graph, zone index, engine, network — then wire(),
-// the per-seed wiring a warm Reset replays. Splitting the two is what
-// makes fresh-vs-reset byte-identity hold by construction: every line
-// that differs per seed lives in wire(), and both paths run it.
+// NewQuarry builds the quarry rig. Wiring order is part of the
+// output: network pre-hook, constituent registration (network first,
+// then engine — registration order drives broadcast fan-out and step
+// order), haul agents, the planner obstacle snapshot, the policy
+// layer, metrics, and fault injection.
 func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 	cfg = cfg.withDefaults()
 	w := world.New()
@@ -192,112 +174,11 @@ func NewQuarry(cfg QuarryConfig) (*QuarryRig, error) {
 	}
 	net := comm.NewNetwork(netCfg, sim.NewRNG(cfg.Seed))
 
-	rig := &QuarryRig{Engine: e, World: w, Net: net}
-	rig.Snapshot()
-	if err := rig.wire(cfg); err != nil {
-		return nil, err
-	}
-	return rig, nil
-}
-
-// Snapshot captures the rig's seed-invariant baseline — the world
-// state Reset rewinds to. NewQuarry takes it right after chassis
-// construction; callers that deliberately mutate the world before
-// running (blocking an edge, scripting weather) may re-take it to
-// make that mutation part of the baseline.
-func (r *QuarryRig) Snapshot() { r.wsnap = r.World.Snapshot() }
-
-// Reset returns the rig to its just-constructed state under a new
-// seed, in O(mutable state) instead of O(world): the engine, network
-// and world rewind in place (retaining the route graph, its memoized
-// path cache when no blocking diverged, the zone index, event-log and
-// heap backing arrays), constituent shells are re-adopted by ID with
-// their planners reseeded in place, and wire() replays the exact
-// per-seed wiring fresh construction runs. A reset rig's output is
-// byte-identical to a fresh rig's at the same seed — the warm-rig
-// differential tests hold tables, bundles and checkpoints to that.
-func (r *QuarryRig) Reset(seed int64) error {
-	cfg := r.cfg
-	cfg.Seed = seed
-	cfg = cfg.withDefaults()
-
-	// Park the constituent shells for wire() to re-adopt by ID.
-	if r.prev == nil {
-		r.prev = make(map[string]*core.Constituent, len(r.Diggers)+len(r.Trucks))
-	}
-	for _, c := range r.Diggers {
-		r.prev[c.ID()] = c
-	}
-	for _, c := range r.Trucks {
-		r.prev[c.ID()] = c
-	}
-
-	r.Engine.Reset(cfg.Seed)
-	r.Net.Reset(cfg.Seed)
-	r.World.Restore(r.wsnap)
-
-	clear(r.Diggers)
-	r.Diggers = r.Diggers[:0]
-	clear(r.Trucks)
-	r.Trucks = r.Trucks[:0]
-	clear(r.Hauls)
-	r.Hauls = r.Hauls[:0]
-	clear(r.Policies)
-	r.Policies = r.Policies[:0]
-	r.allBuf = r.allBuf[:0]
-	r.prevModel = r.Model
-	r.prevCollector = r.Collector
-	r.prevInjector = r.Injector
-	r.Model = nil
-	r.Collector = nil
-	r.Injector = nil
-	r.Director = nil
-	r.Board = nil
-	r.Authority = nil
-
-	return r.wire(cfg)
-}
-
-// constituent returns the parked shell for id reinitialised under cc
-// when the rig holds one from a prior run, or a fresh constituent.
-// Both paths run core.Constituent.Reinit, so a re-adopted shell is
-// identical to a fresh one by construction.
-func (r *QuarryRig) constituent(cc core.Config) *core.Constituent {
-	if c := r.prev[cc.ID]; c != nil {
-		delete(r.prev, cc.ID)
-		if err := c.Reinit(cc); err != nil {
-			panic(err)
-		}
-		return c
-	}
-	return core.MustConstituent(cc)
-}
-
-// wire performs every per-seed wiring step, in the exact order fresh
-// construction always has: network pre-hook, constituent registration
-// (network first, then engine — registration order drives broadcast
-// fan-out and step order), haul agents, the planner obstacle
-// snapshot, the policy layer, metrics, and fault injection. Reset
-// replays it against rewound substrate.
-func (r *QuarryRig) wire(cfg QuarryConfig) error {
-	e, w, net := r.Engine, r.World, r.Net
-	g := w.Graph()
+	r := &QuarryRig{Engine: e, World: w, Net: net}
 	e.AddPreHook(net.Hook())
 
-	r.cfg = cfg
-	// A parked dependency model and groups map empty in place — both
-	// are rebuilt from scratch below either way.
-	if r.prevModel != nil {
-		r.Model, r.prevModel = r.prevModel, nil
-		r.Model.Reinit()
-	} else {
-		r.Model = core.NewDependencyModel()
-	}
-	if r.Groups == nil {
-		r.Groups = make(map[string]string)
-	} else {
-		clear(r.Groups)
-	}
+	r.Model = core.NewDependencyModel()
+	r.Groups = make(map[string]string)
 	snap := &obstacleSnapshot{}
 
 	// Diggers.
@@ -312,7 +193,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	for p := 0; p < cfg.Pairs; p++ {
 		id := fmt.Sprintf("digger%d", p+1)
 		net.MustRegister(id)
-		d := r.constituent(core.Config{
+		d := core.MustConstituent(core.Config{
 			ID:        id,
 			Spec:      vehicle.DefaultSpec(vehicle.KindDigger),
 			Start:     geom.Pose{Pos: geom.V(5, float64(6*(p+1))), Heading: 0},
@@ -332,7 +213,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 		for k := 0; k < cfg.TrucksPerPair; k++ {
 			id := fmt.Sprintf("truck%d_%d", p+1, k+1)
 			net.MustRegister(id)
-			c := r.constituent(core.Config{
+			c := core.MustConstituent(core.Config{
 				ID:        id,
 				Spec:      vehicle.DefaultSpec(vehicle.KindTruck),
 				Start:     geom.Pose{Pos: geom.V(float64(-14*(p*cfg.TrucksPerPair+k+1)), 0)},
@@ -381,37 +262,15 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	e.AddPreHook(snap.hook())
 
 	if err := r.wirePolicy(cfg); err != nil {
-		return err
+		return nil, err
 	}
 
-	// Metrics. The probes close over constituent and body pointers the
-	// warm path re-adopts in place, so a parked collector whose probe
-	// IDs match the fleet (in order) reinitialises without rebuilding
-	// its probes or latch storage; any mismatch falls back to fresh
-	// construction.
-	if pc := r.prevCollector; pc != nil {
-		r.idsBuf = pc.ProbeIDs(r.idsBuf[:0])
-		match := len(r.idsBuf) == len(r.all())
-		if match {
-			for i, c := range r.all() {
-				if r.idsBuf[i] != c.ID() {
-					match = false
-					break
-				}
-			}
-		}
-		if match {
-			r.Collector, r.prevCollector = pc, nil
-			r.Collector.Reinit()
-		}
+	// Metrics.
+	probes := make([]metrics.Probe, 0, len(r.all()))
+	for _, c := range r.all() {
+		probes = append(probes, probeFor(c, w))
 	}
-	if r.Collector == nil {
-		probes := make([]metrics.Probe, 0, len(r.all()))
-		for _, c := range r.all() {
-			probes = append(probes, probeFor(c, w))
-		}
-		r.Collector = metrics.NewCollector(probes...)
-	}
+	r.Collector = metrics.NewCollector(probes...)
 	r.Collector.SetInterventionCounter(func() int {
 		n := 0
 		for _, c := range r.All() {
@@ -421,8 +280,7 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 	})
 	e.AddPostHook(r.Collector.Hook())
 
-	// Fault injection: a parked injector empties in place; handlers
-	// and the schedule are re-registered from scratch either way.
+	// Fault injection.
 	logFault := func(event string, f fault.Fault) {
 		kind := sim.EventFaultInjected
 		if event == "clear" {
@@ -433,20 +291,15 @@ func (r *QuarryRig) wire(cfg QuarryConfig) error {
 			Kind: kind, Subject: f.Target, Detail: f.Kind.String() + "/" + f.ID,
 		})
 	}
-	if r.prevInjector != nil {
-		r.Injector, r.prevInjector = r.prevInjector, nil
-		r.Injector.Reinit(logFault)
-	} else {
-		r.Injector = fault.NewInjector(logFault)
-	}
+	r.Injector = fault.NewInjector(logFault)
 	for _, c := range r.all() {
 		r.Injector.RegisterHandler(c.ID(), c)
 	}
 	if err := r.Injector.Schedule(cfg.Faults...); err != nil {
-		return err
+		return nil, err
 	}
 	e.AddPreHook(r.Injector.Hook())
-	return nil
+	return r, nil
 }
 
 func (r *QuarryRig) addPolicy(p sim.Entity) {

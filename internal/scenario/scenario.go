@@ -171,8 +171,8 @@ type fleetView struct {
 }
 
 // track binds the view to a rig's fleet and engine clock and marks it
-// stale. wire calls it once the constituents are registered, so a
-// Reset never serves the previous run's positions.
+// stale, so the first feed call builds it. Rigs call it once the
+// constituents are registered.
 func (v *fleetView) track(clock *sim.Clock, cs []*core.Constituent) {
 	v.clock, v.cs, v.tick = clock, cs, -1
 }

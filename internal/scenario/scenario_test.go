@@ -1,6 +1,8 @@
 package scenario
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -191,6 +193,45 @@ func TestHarbourSingleLevelStopsEverythingAtOnce(t *testing.T) {
 		if c.Operational() {
 			t.Errorf("%s still operational under single-level policy", c.ID())
 		}
+	}
+}
+
+// One weather schedule handed to two harbour rigs (one per sweep arm,
+// say) must drive both through the whole script: each rig rewinds the
+// schedule when it is built, so the second rig's report and event
+// stream equal the first's. Without the rewind the second rig would
+// start on an exhausted schedule and never see the rain.
+func TestHarbourSharedWeatherScheduleReplays(t *testing.T) {
+	weather := world.MustWeatherSchedule(
+		world.WeatherChange{At: 30 * time.Second, Condition: world.Rain, TemperatureC: 3},
+	)
+	run := func() string {
+		t.Helper()
+		rig, err := NewHarbour(HarbourConfig{Forklifts: 3, TwoLevel: true, Weather: weather, Seed: 7})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := rig.Run(time.Minute)
+		if _, ok := res.Log.First(sim.EventMRCLocal); !ok {
+			t.Error("rain never escalated to MRC1")
+		}
+		var b strings.Builder
+		if err := res.Log.WriteJSON(&b); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := json.Marshal(res.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(rep)
+		return b.String()
+	}
+	first := run()
+	if !weather.Done() {
+		t.Fatal("first run did not consume the schedule")
+	}
+	if second := run(); second != first {
+		t.Error("second rig built from the same schedule diverged from the first")
 	}
 }
 

@@ -61,8 +61,15 @@ func Validate(sensors ...Sensor) error {
 // duplicated name wins) — prefer NewSuiteStrict, which surfaces the
 // mistake instead of hiding it.
 func NewSuite(sensors ...Sensor) *Suite {
-	st := &Suite{}
-	st.Reinit(sensors...)
+	st := &Suite{byName: make(map[string]int, len(sensors)), weatherFactor: 1}
+	for _, s := range sensors {
+		if _, dup := st.byName[s.Name]; dup {
+			continue
+		}
+		s.health = 1
+		st.byName[s.Name] = len(st.sensors)
+		st.sensors = append(st.sensors, s)
+	}
 	return st
 }
 
@@ -75,71 +82,14 @@ func NewSuiteStrict(sensors ...Sensor) (*Suite, error) {
 	return NewSuite(sensors...), nil
 }
 
-// Reinit resets the suite in place to what NewSuite(sensors...) would
-// build — the warm-rig path reuses suite allocations across runs.
-// When the definitions match the suite's current sensors by name and
-// order (the steady state: a reused rig rebuilds the same fleet), the
-// name index is kept and the sensors are overwritten in place;
-// otherwise both are rebuilt as NewSuite would.
-func (st *Suite) Reinit(sensors ...Sensor) {
-	st.weatherFactor = 1
-	if len(sensors) == len(st.sensors) {
-		same := true
-		for i, s := range sensors {
-			if st.sensors[i].Name != s.Name {
-				same = false
-				break
-			}
-		}
-		if same {
-			for i, s := range sensors {
-				s.health = 1
-				st.sensors[i] = s
-			}
-			return
-		}
-	}
-	st.sensors = st.sensors[:0]
-	clear(st.byName)
-	if st.byName == nil {
-		st.byName = make(map[string]int, len(sensors))
-	}
-	for _, s := range sensors {
-		if _, dup := st.byName[s.Name]; dup {
-			continue
-		}
-		s.health = 1
-		st.byName[s.Name] = len(st.sensors)
-		st.sensors = append(st.sensors, s)
-	}
-}
-
-// standardSensors is the fixed definition list behind StandardSuite
-// and ReinitStandard — one source so the two paths cannot diverge.
-func standardSensors(nominalRange float64) [3]Sensor {
-	return [3]Sensor{
-		{Name: "long_range_radar", NominalRange: nominalRange, FrontFacing: true},
-		{Name: "camera", NominalRange: nominalRange * 0.6, FrontFacing: true},
-		{Name: "short_range", NominalRange: nominalRange * 0.3},
-	}
-}
-
 // StandardSuite returns a typical long+short range suite whose best
 // range equals nominalRange.
 func StandardSuite(nominalRange float64) *Suite {
-	defs := standardSensors(nominalRange)
-	st, err := NewSuiteStrict(defs[:]...)
-	if err != nil {
-		panic(err) // the fixed definitions above can never collide
-	}
-	return st
-}
-
-// ReinitStandard resets the suite in place to exactly
-// StandardSuite(nominalRange), reusing its storage.
-func (st *Suite) ReinitStandard(nominalRange float64) {
-	defs := standardSensors(nominalRange)
-	st.Reinit(defs[:]...)
+	return NewSuite(
+		Sensor{Name: "long_range_radar", NominalRange: nominalRange, FrontFacing: true},
+		Sensor{Name: "camera", NominalRange: nominalRange * 0.6, FrontFacing: true},
+		Sensor{Name: "short_range", NominalRange: nominalRange * 0.3},
+	)
 }
 
 // Names returns the sensor names in definition order.

@@ -94,11 +94,12 @@ func TestCanonicalKeyPinned(t *testing.T) {
 
 func TestCanonicalizeRejects(t *testing.T) {
 	for _, body := range []string{
-		`{"experiment":"E999"}`,                  // unknown experiment
-		`{"experiment":"E1","seeds":[]}`,         // empty sweep
-		`{"experiment":"E1","seeds":[3,3]}`,      // duplicate seed skews mean±sd
-		`{"experiment":"E1","seeds":"nonsense"}`, // unparsable spec
-		`{"experiment":"E1","stream":true}`,      // stream without seeds
+		`{"experiment":"E999"}`,                                                   // unknown experiment
+		`{"experiment":"E1","seeds":[]}`,                                          // empty sweep
+		`{"experiment":"E1","seeds":[3,3]}`,                                       // duplicate seed skews mean±sd
+		`{"experiment":"E1","seeds":"nonsense"}`,                                  // unparsable spec
+		`{"experiment":"E1","seeds":"-9223372036854775808..9223372036854775807"}`, // span overflows int64
+		`{"experiment":"E1","stream":true}`,                                       // stream without seeds
 	} {
 		var req JobRequest
 		if err := json.Unmarshal([]byte(body), &req); err != nil {

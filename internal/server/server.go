@@ -59,13 +59,6 @@ type Config struct {
 	// CheckpointEvery is the folded-seed interval between campaign
 	// checkpoint writes for streaming jobs (<= 0: 16).
 	CheckpointEvery int
-	// ReuseRigs serves each job's campaign rigs from the warm-rig pool
-	// (snapshot/reset) instead of constructing one per seed. Like
-	// Parallel this is an operational knob: it changes wall time, never
-	// result bytes, so it is deliberately absent from the cache key —
-	// a warm-rig result is byte-identical to (and cache-compatible
-	// with) a fresh-construction one.
-	ReuseRigs bool
 
 	// foldHook, when non-nil, observes every streaming fold before the
 	// drain and timeout checks. Test-only: it makes drain triggers
@@ -378,9 +371,7 @@ func (s *Server) run(j *job) {
 				ch <- outcome{err: fmt.Errorf("job panicked: %v", r)}
 			}
 		}()
-		opt := j.spec.options()
-		opt.ReuseRigs = s.cfg.ReuseRigs
-		res, err := coopmrm.RunJobArtifacts(e, opt, j.spec.Seeds,
+		res, err := coopmrm.RunJobArtifacts(e, j.spec.options(), j.spec.Seeds,
 			s.cfg.Parallel, j.spec.Stream, cfg)
 		ch <- outcome{res: res, err: err}
 	}()

@@ -49,12 +49,6 @@ func (c *Clock) Advance() {
 	c.tick++
 }
 
-// Reset rewinds the clock to the start of a run, keeping the step.
-func (c *Clock) Reset() {
-	c.now = 0
-	c.tick = 0
-}
-
 // String implements fmt.Stringer.
 func (c *Clock) String() string {
 	return fmt.Sprintf("t=%s (tick %d)", c.now, c.tick)

@@ -119,33 +119,6 @@ func NewEngine(cfg Config) *Engine {
 // inspection after).
 func (e *Engine) Env() *Env { return e.env }
 
-// Reset returns the engine to its just-constructed state under a new
-// seed, retaining backing allocations: the clock rewinds, the RNG
-// reseeds in place to exactly NewRNG(seed)'s stream, the event log
-// truncates with capacity kept, and every registration — entities,
-// hooks, stop conditions — is dropped for the rig to re-wire in
-// construction order. A reset engine is observationally
-// identical to NewEngine with the same config and seed; the warm-rig
-// differential tests hold that at the byte level.
-func (e *Engine) Reset(seed int64) {
-	if seed == 0 {
-		seed = 1 // Config.withDefaults' seed rule
-	}
-	e.cfg.Seed = seed
-	e.env.Clock.Reset()
-	e.env.RNG.Reseed(seed)
-	e.env.Log.Reset()
-	clear(e.entities)
-	e.entities = e.entities[:0]
-	clear(e.byID)
-	clear(e.pre)
-	e.pre = e.pre[:0]
-	clear(e.post)
-	e.post = e.post[:0]
-	clear(e.stops)
-	e.stops = e.stops[:0]
-}
-
 // Register adds an entity. Registering two entities with the same ID
 // is an error.
 func (e *Engine) Register(ent Entity) error {

@@ -82,22 +82,6 @@ func (l *EventLog) Append(e Event) {
 	l.bySubject[e.Subject] = append(l.bySubject[e.Subject], i)
 }
 
-// Reset empties the log for a new run while keeping its backing
-// allocations (event array and index slices) — the warm-rig
-// counterpart of NewEventLog. Events are zeroed first to release their
-// Fields maps. A reset log is observationally identical to a fresh one
-// (the differential rig tests prove it at the byte level).
-func (l *EventLog) Reset() {
-	clear(l.events)
-	l.events = l.events[:0]
-	for k, idx := range l.byKind {
-		l.byKind[k] = idx[:0]
-	}
-	for s, idx := range l.bySubject {
-		l.bySubject[s] = idx[:0]
-	}
-}
-
 // Len returns the number of recorded events.
 func (l *EventLog) Len() int { return len(l.events) }
 

@@ -6,29 +6,12 @@ import "math/rand"
 // math/rand.Rand so all call sites share one stream, keeping runs
 // reproducible for a given seed.
 type RNG struct {
-	r    *rand.Rand
-	fast *fastSource // adopted by the first Reseed; nil on the fresh path
+	r *rand.Rand
 }
 
 // NewRNG returns an RNG seeded with seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
-}
-
-// Reseed restores g, in place, to the exact stream NewRNG(seed) would
-// produce. The first Reseed adopts a fastSource (bit-identical to
-// math/rand's rngSource, ~6× cheaper to seed — see rngfast.go);
-// afterwards reseeding is allocation-free. rand.Rand itself carries no
-// distribution state across draws (NormFloat64 is a stateless
-// ziggurat), so reseeding the source is reseeding the stream. This is
-// the warm-rig path: a Reset rig replays a fresh rig's randomness
-// without paying rand.NewSource's Schrage-division seeding cost.
-func (g *RNG) Reseed(seed int64) {
-	if g.fast == nil {
-		g.fast = new(fastSource)
-		g.r = rand.New(g.fast)
-	}
-	g.fast.Seed(seed)
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -194,16 +194,6 @@ func New(seed int64, cfg Config) *Planner {
 	return &Planner{cfg: cfg.withDefaults(), rng: sim.NewRNG(seed)}
 }
 
-// Reinit restores the planner, in place, to the state New(seed, cfg)
-// would produce, keeping the scratch allocations (score overwrites
-// them before reading): the RNG reseeds to exactly the fresh stream.
-// The warm-rig path for per-constituent planner reuse across campaign
-// seeds.
-func (p *Planner) Reinit(seed int64, cfg Config) {
-	p.cfg = cfg.withDefaults()
-	p.rng.Reseed(seed)
-}
-
 // Config returns the planner's effective configuration.
 func (p *Planner) Config() Config { return p.cfg }
 

@@ -34,18 +34,7 @@ type Body struct {
 // NewBody returns a body at the given pose with nominal actuators and
 // zero speed.
 func NewBody(spec Spec, pose geom.Pose) *Body {
-	b := new(Body)
-	b.Reinit(spec, pose)
-	return b
-}
-
-// Reinit resets the body in place to the just-constructed state —
-// the warm-rig path reuses body allocations across runs. Fresh
-// construction routes through the same assignment (NewBody is Reinit
-// on a zero struct), so a reinitialised body is identical to a fresh
-// one by construction.
-func (b *Body) Reinit(spec Spec, pose geom.Pose) {
-	*b = Body{
+	return &Body{
 		spec:        spec,
 		pose:        pose,
 		brakeFactor: 1,

@@ -146,7 +146,7 @@ func (s *WeatherSchedule) Apply(w *World, now time.Duration) []WeatherChange {
 func (s *WeatherSchedule) Done() bool { return s.next >= len(s.changes) }
 
 // Rewind rewinds the schedule's cursor so the full script replays from
-// t=0. Rigs that hold an externally supplied schedule call this on
-// Reset (and, harmlessly, on fresh construction) so a reused schedule
-// behaves exactly like a freshly built one.
+// t=0. A rig built from a caller-supplied schedule calls it on
+// construction, so one schedule handed to several rigs (a sweep arm
+// per rig) replays the whole script in each of them.
 func (s *WeatherSchedule) Rewind() { s.next = 0 }

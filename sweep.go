@@ -45,12 +45,14 @@ func ParseSeedSpec(spec string, base int64) ([]int64, error) {
 		if err1 != nil || err2 != nil || b < a {
 			return nil, fmt.Errorf("seed spec %q: want <lo>..<hi> with hi >= lo", spec)
 		}
-		if b-a+1 > 1<<20 {
+		// b-a can overflow int64 (-5..9223372036854775807), but never
+		// uint64: with b >= a the unsigned difference is exact.
+		if uint64(b)-uint64(a) >= 1<<20 {
 			return nil, fmt.Errorf("seed spec %q: range too large", spec)
 		}
-		seeds := make([]int64, 0, b-a+1)
-		for s := a; s <= b; s++ {
-			seeds = append(seeds, s)
+		seeds := make([]int64, b-a+1)
+		for i := range seeds {
+			seeds[i] = a + int64(i)
 		}
 		return seeds, nil
 	}

@@ -1,6 +1,8 @@
 package coopmrm
 
 import (
+	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -57,6 +59,60 @@ func TestParseSeedSpecRangeCap(t *testing.T) {
 	if seeds, err := ParseSeedSpec("1..1048576", 1); err != nil || len(seeds) != 1<<20 {
 		t.Errorf("range form at the cap: %d seeds, %v", len(seeds), err)
 	}
+}
+
+// Regression: the <lo>..<hi> span was computed as b-a+1 in int64. A
+// span past MaxInt64 panicked in make, and the full int64 range
+// wrapped the count to 0, passed the cap and never ended its loop.
+// Both are remote input: coopmrmd parses "seeds" specs from POST
+// bodies.
+func TestParseSeedSpecRangeOverflow(t *testing.T) {
+	for _, bad := range []string{
+		"-5..9223372036854775807",
+		"-9223372036854775808..9223372036854775807",
+		"-9223372036854775808..0",
+	} {
+		if _, err := ParseSeedSpec(bad, 1); err == nil ||
+			!strings.Contains(err.Error(), "range too large") {
+			t.Errorf("spec %q: err = %v, want range-too-large error", bad, err)
+		}
+	}
+	// Ranges that end at the int64 limits stay exact.
+	seeds, err := ParseSeedSpec("9223372036854775805..9223372036854775807", 1)
+	if err != nil || !slices.Equal(seeds, []int64{math.MaxInt64 - 2, math.MaxInt64 - 1, math.MaxInt64}) {
+		t.Errorf("range ending at MaxInt64: %v, %v", seeds, err)
+	}
+	seeds, err = ParseSeedSpec("-9223372036854775808..-9223372036854775807", 1)
+	if err != nil || !slices.Equal(seeds, []int64{math.MinInt64, math.MinInt64 + 1}) {
+		t.Errorf("range starting at MinInt64: %v, %v", seeds, err)
+	}
+}
+
+// FuzzParseSeedSpec: any spec either fails with an error or yields
+// 1..1<<20 distinct seeds; a range yields exactly its consecutive
+// members. Never a panic, never an unbounded allocation.
+func FuzzParseSeedSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string, base int64) {
+		seeds, err := ParseSeedSpec(spec, base)
+		if err != nil {
+			return
+		}
+		if len(seeds) < 1 || len(seeds) > 1<<20 {
+			t.Fatalf("spec %q: %d seeds", spec, len(seeds))
+		}
+		sorted := slices.Clone(seeds)
+		slices.Sort(sorted)
+		if len(slices.Compact(sorted)) != len(seeds) {
+			t.Fatalf("spec %q: duplicate seeds", spec)
+		}
+		if strings.Contains(spec, "..") {
+			for i := 1; i < len(seeds); i++ {
+				if seeds[i] != seeds[i-1]+1 {
+					t.Fatalf("spec %q: range not consecutive at %d: %d, %d", spec, i, seeds[i-1], seeds[i])
+				}
+			}
+		}
+	})
 }
 
 // seedSpan prints short lists verbatim and long lists as their true
